@@ -5,13 +5,7 @@ from .audit import (
     AuditFinding,
     AuditReport,
     audit_graph,
-    check_claim,
-    check_final,
-    check_gate_I,
-    check_statement_1,
-    check_statement_2,
-    check_statement_3,
-    check_statement_4,
+    check,
     replay_finding,
 )
 from .coloring import (

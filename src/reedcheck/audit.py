@@ -1,31 +1,41 @@
 """Statement-by-statement audits of the minimal-counterexample machinery.
 
-Each check evaluates one structural claim on a concrete (graph, coloring,
-apex vertex) instance and reports holds / violated / hypotheses-unmet
-with a replayable certificate.  The gate check I is the entry condition a
-smallest counterexample would have to satisfy at every vertex (degree
-budget plus |R| >= omega + 1); real graphs are expected to fail it, which
-is reported as the calmer status ``gate-failed``.  Statements that only
-make sense past the gate (1, 4, the completeness claim and the final
-clique contradiction) are gated on it rather than declared violated on
-instances outside their hypotheses.
+Each statement evaluates one structural claim on a concrete (graph,
+coloring, apex vertex) instance and reports holds / violated /
+hypotheses-unmet with a replayable certificate.  The gate check I is the
+entry condition a smallest counterexample would have to satisfy at every
+vertex (degree budget plus |R| >= omega + 1); real graphs are expected to
+fail it, which is reported as the calmer status ``gate-failed``.
+Statements that only make sense past the gate (1, 4, the completeness
+claim and the final clique contradiction) are gated on it rather than
+declared violated on instances outside their hypotheses.
+
+Everything the statements read about one instance (the R/S/T
+decomposition, the gate values, the substitute levels and the ordered
+non-adjacent pairs of T) is built once, and each statement is a pure
+function of that record.  The statements live in one ordered registry,
+through which whole-graph audits, single checks and replays dispatch.
 
 Violated findings on hosts containing a forbidden pattern are expected
 and kept: they demonstrate that the forbidden subgraphs are doing the
 work.  Certificates serialize as JSON objects
 ``{statement, status, graph6, u, colors, tuple, ...}`` and re-running the
-named check on a certificate reproduces its status exactly.
+named statement on a certificate reproduces its finding exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
+from typing import Callable, NamedTuple
 
 from .coloring import (
+    BicolorPath,
     Coloring,
+    SequenceDecomposition,
+    UniqueColorDecomposition,
     build_sequence,
     canonicalize_coloring,
-    derive_T_prime,
     enumerate_optimal_colorings,
     find_bicolor_path4,
     greedy_coloring,
@@ -35,7 +45,6 @@ from .coloring import (
 from .graphs import Graph, graph_from_graph6, graph_to_graph6, iter_bits
 from .invariants import chromatic_number, clique_number, max_degree, reed_bound
 
-STATEMENTS = ("I", "S1", "S2", "S3", "S4", "CLAIM", "FINAL")
 STATUSES = ("holds", "violated", "hypotheses-unmet", "gate-failed")
 
 DEFAULT_COLORING_CAP = 10_000
@@ -87,21 +96,8 @@ def _context(g: Graph) -> _Ctx:
     )
 
 
-def _require_proper(g: Graph, c: Coloring) -> None:
-    if not is_proper(g, c):
-        raise ValueError("coloring is not proper")
-
-
-def _require_optimal(ctx: _Ctx, c: Coloring) -> None:
-    if c.color_count != ctx.chi:
-        raise ValueError(
-            f"coloring uses {c.color_count} colors but chi = {ctx.chi}; "
-            "gate-dependent checks need an optimal coloring"
-        )
-
-
-def _count_colored_neighbors(g: Graph, c: Coloring, v: int, color: int) -> int:
-    return sum(1 for w in iter_bits(g.adj[v]) if c.colors[w] == color)
+def _colored_neighbors(g: Graph, c: Coloring, v: int, color: int) -> tuple[int, ...]:
+    return tuple(w for w in iter_bits(g.adj[v]) if c.colors[w] == color)
 
 
 def _is_complete(g: Graph, vertices) -> bool:
@@ -114,231 +110,243 @@ def _is_complete(g: Graph, vertices) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# individual checks
+# one (coloring, apex) instance, built once
 # ---------------------------------------------------------------------------
 
-def _gate(g: Graph, c: Coloring, u: int, ctx: _Ctx) -> AuditFinding:
+@dataclass(frozen=True)
+class _Pair:
+    """An ordered non-adjacent pair (t, t') of T."""
+
+    path: BicolorPath | None
+    of_t: tuple[int, ...]  # neighbors of t colored like t'
+    of_t_prime: tuple[int, ...]  # neighbors of t' colored like t
+
+    @property
+    def unique_partners(self) -> bool:
+        return len(self.of_t) == 1 and len(self.of_t_prime) == 1
+
+
+@dataclass(frozen=True)
+class _Instance:
+    """Everything the statements read about one (graph, coloring, apex)."""
+
+    g: Graph
+    c: Coloring
+    u: int
+    ctx: _Ctx
+    d: UniqueColorDecomposition
+    seq: SequenceDecomposition  # level 0 is (T, T')
+    deg_u: int
+    degree_ok: bool
+    size_ok: bool
+    pairs: dict[tuple[int, int], _Pair]  # in sorted (t, t') order
+
+    @property
+    def gate_holds(self) -> bool:
+        return self.degree_ok and self.size_ok
+
+    def finding(self, statement: str, status: str, **fields) -> AuditFinding:
+        return AuditFinding(statement, status, self.ctx.graph6, self.u, self.c.colors, **fields)
+
+
+def _instance(g: Graph, c: Coloring, u: int, ctx: _Ctx) -> _Instance:
     d = unique_color_neighbors(g, c, u)
     r = len(d.R)
     deg_u = g.degree(u)
-    degree_ok = deg_u >= r + 2 * (ctx.bound - r)
-    size_ok = r >= ctx.omega + 1
-    status = "holds" if (degree_ok and size_ok) else "gate-failed"
-    return AuditFinding(
-        statement="I",
-        status=status,
-        graph6=ctx.graph6,
+    T = sorted(d.T)
+    pairs = {
+        (t, t2): _Pair(
+            find_bicolor_path4(g, c, t, t2),
+            _colored_neighbors(g, c, t, c.colors[t2]),
+            _colored_neighbors(g, c, t2, c.colors[t]),
+        )
+        for t in T
+        for t2 in T
+        if t2 != t and not g.has_edge(t, t2)
+    }
+    return _Instance(
+        g=g,
+        c=c,
         u=u,
-        colors=c.colors,
-        info={
-            "R": sorted(d.R),
-            "deg_u": deg_u,
-            "reed_bound": ctx.bound,
-            "omega": ctx.omega,
-            "degree_condition": degree_ok,
-            "size_condition": size_ok,
-        },
+        ctx=ctx,
+        d=d,
+        seq=build_sequence(g, c, d),
+        deg_u=deg_u,
+        degree_ok=deg_u >= r + 2 * (ctx.bound - r),
+        size_ok=r >= ctx.omega + 1,
+        pairs=pairs,
     )
 
 
-def check_gate_I(g: Graph, c: Coloring, u: int) -> AuditFinding:
+# ---------------------------------------------------------------------------
+# the statements, each a pure function of one instance
+# ---------------------------------------------------------------------------
+
+def _gate(x: _Instance) -> list[AuditFinding]:
     """Entry gate: deg u >= |R| + 2*(bound - |R|) and |R| >= omega + 1."""
-    _require_proper(g, c)
-    ctx = _context(g)
-    _require_optimal(ctx, c)
-    return _gate(g, c, u, ctx)
+    return [x.finding(
+        "I", "holds" if x.gate_holds else "gate-failed",
+        info={
+            "R": sorted(x.d.R),
+            "deg_u": x.deg_u,
+            "reed_bound": x.ctx.bound,
+            "omega": x.ctx.omega,
+            "degree_condition": x.degree_ok,
+            "size_condition": x.size_ok,
+        },
+    )]
 
 
-def _statement_1(g: Graph, c: Coloring, u: int, ctx: _Ctx) -> AuditFinding:
-    gate = _gate(g, c, u, ctx)
-    d = unique_color_neighbors(g, c, u)
-    info = {"T": sorted(d.T), "R": sorted(d.R)}
-    if gate.status != "holds":
-        return AuditFinding("S1", "hypotheses-unmet", ctx.graph6, u, c.colors,
-                            hypothesis_failed="gate-I", info=info)
-    big_clique = len(d.R) >= ctx.omega + 1 and _is_complete(g, d.R)
-    ok = len(d.T) >= 2 or (len(d.T) == 0 and big_clique)
-    return AuditFinding("S1", "holds" if ok else "violated", ctx.graph6, u, c.colors, info=info)
-
-
-def check_statement_1(g: Graph, c: Coloring, u: int) -> AuditFinding:
+def _statement_1(x: _Instance) -> list[AuditFinding]:
     """Past the gate, |T| >= 2 unless T is empty and R already is a big clique."""
-    _require_proper(g, c)
-    ctx = _context(g)
-    _require_optimal(ctx, c)
-    return _statement_1(g, c, u, ctx)
+    d = x.d
+    info = {"T": sorted(d.T), "R": sorted(d.R)}
+    if not x.gate_holds:
+        return [x.finding("S1", "hypotheses-unmet", hypothesis_failed="gate-I", info=info)]
+    # the gate already gives |R| >= omega + 1
+    ok = len(d.T) >= 2 or (not d.T and _is_complete(x.g, d.R))
+    return [x.finding("S1", "holds" if ok else "violated", info=info)]
 
 
-def _statement_2(g: Graph, c: Coloring, u: int, ctx: _Ctx) -> list[AuditFinding]:
-    d = unique_color_neighbors(g, c, u)
-    findings = []
-    for t in sorted(d.T):
-        for t2 in sorted(d.T):
-            if t2 == t or g.has_edge(t, t2):
-                continue
-            path = find_bicolor_path4(g, c, t, t2)
-            if path is None:
-                findings.append(AuditFinding(
-                    "S2", "hypotheses-unmet", ctx.graph6, u, c.colors,
-                    vertices=(t, t2), hypothesis_failed="bicolor-path4"))
-                continue
-            i = c.colors[t2]
-            j = c.colors[t]
-            count_i = _count_colored_neighbors(g, c, t, i)
-            count_j = _count_colored_neighbors(g, c, t2, j)
-            ok = count_i == 1 and count_j == 1
-            findings.append(AuditFinding(
-                "S2", "holds" if ok else "violated", ctx.graph6, u, c.colors,
-                vertices=(t, t2),
-                info={"path": list(path.vertices),
-                      "opposite_neighbors_of_t": count_i,
-                      "opposite_neighbors_of_t_prime": count_j}))
-    return findings
-
-
-def check_statement_2(g: Graph, c: Coloring, u: int) -> list[AuditFinding]:
+def _statement_2(x: _Instance) -> list[AuditFinding]:
     """Each non-adjacent ordered pair in T with an alternating 4-path must
     have unique opposite-colored partners (one finding per pair)."""
-    _require_proper(g, c)
-    return _statement_2(g, c, u, _context(g))
-
-
-def _s2_pair_ok(g: Graph, c: Coloring, t: int, t2: int) -> bool:
-    return (_count_colored_neighbors(g, c, t, c.colors[t2]) == 1
-            and _count_colored_neighbors(g, c, t2, c.colors[t]) == 1)
-
-
-def _statement_3(g: Graph, c: Coloring, u: int, ctx: _Ctx) -> list[AuditFinding]:
-    d = unique_color_neighbors(g, c, u)
     findings = []
-    for t in sorted(d.T):
-        i = c.colors[t]
-        others = [y for y in sorted(d.T) if y != t and not g.has_edge(t, y)]
-        for a in range(len(others)):
-            for b in range(a + 1, len(others)):
-                t2, t3 = others[a], others[b]
-                vertices = (t, t2, t3)
-                if (find_bicolor_path4(g, c, t, t2) is None
-                        or find_bicolor_path4(g, c, t, t3) is None):
-                    findings.append(AuditFinding(
-                        "S3", "hypotheses-unmet", ctx.graph6, u, c.colors,
-                        vertices=vertices, hypothesis_failed="bicolor-path4"))
-                    continue
-                if not (_s2_pair_ok(g, c, t, t2) and _s2_pair_ok(g, c, t, t3)):
-                    findings.append(AuditFinding(
-                        "S3", "hypotheses-unmet", ctx.graph6, u, c.colors,
-                        vertices=vertices, hypothesis_failed="statement-2"))
-                    continue
-                a_vertex = next(w for w in iter_bits(g.adj[t2]) if c.colors[w] == i)
-                b_vertex = next(w for w in iter_bits(g.adj[t3]) if c.colors[w] == i)
-                findings.append(AuditFinding(
-                    "S3", "holds" if a_vertex == b_vertex else "violated",
-                    ctx.graph6, u, c.colors, vertices=vertices,
-                    info={"partner_of_second": a_vertex, "partner_of_third": b_vertex}))
+    for key, pair in x.pairs.items():
+        if pair.path is None:
+            findings.append(x.finding("S2", "hypotheses-unmet", vertices=key,
+                                      hypothesis_failed="bicolor-path4"))
+            continue
+        findings.append(x.finding(
+            "S2", "holds" if pair.unique_partners else "violated", vertices=key,
+            info={"path": list(pair.path.vertices),
+                  "opposite_neighbors_of_t": len(pair.of_t),
+                  "opposite_neighbors_of_t_prime": len(pair.of_t_prime)}))
     return findings
 
 
-def check_statement_3(g: Graph, c: Coloring, u: int) -> list[AuditFinding]:
+def _statement_3(x: _Instance) -> list[AuditFinding]:
     """Two vertices of T non-adjacent to the same t must share their unique
     partner in t's color (one finding per qualifying triple)."""
-    _require_proper(g, c)
-    return _statement_3(g, c, u, _context(g))
+    findings = []
+    T = sorted(x.d.T)
+    for t in T:
+        others = [y for y in T if (t, y) in x.pairs]
+        for t2, t3 in combinations(others, 2):
+            first, second = x.pairs[t, t2], x.pairs[t, t3]
+            vertices = (t, t2, t3)
+            if first.path is None or second.path is None:
+                findings.append(x.finding("S3", "hypotheses-unmet", vertices=vertices,
+                                          hypothesis_failed="bicolor-path4"))
+            elif not (first.unique_partners and second.unique_partners):
+                findings.append(x.finding("S3", "hypotheses-unmet", vertices=vertices,
+                                          hypothesis_failed="statement-2"))
+            else:
+                a, b = first.of_t_prime[0], second.of_t_prime[0]
+                findings.append(x.finding(
+                    "S3", "holds" if a == b else "violated", vertices=vertices,
+                    info={"partner_of_second": a, "partner_of_third": b}))
+    return findings
 
 
-def _statement_4(g: Graph, c: Coloring, u: int, ctx: _Ctx) -> AuditFinding:
-    gate = _gate(g, c, u, ctx)
-    d = unique_color_neighbors(g, c, u)
-    t_prime = derive_T_prime(g, c, d)
-    seq = build_sequence(g, c, u)
-    s1_prime = seq.levels[1][1] if len(seq.levels) > 1 else frozenset()
+def _statement_4(x: _Instance) -> list[AuditFinding]:
+    """Past the gate with substitutes present, T' and the level-1 substitutes
+    must induce a complete graph.  The T'-completeness sub-check is always
+    reported in the finding's info."""
+    levels = x.seq.levels
+    t_prime = levels[0][1]
+    s1_prime = levels[1][1] if len(levels) > 1 else frozenset()
     target = t_prime | s1_prime
     info = {
         "T_prime": sorted(t_prime),
         "S1_prime": sorted(s1_prime),
-        "t_prime_complete": _is_complete(g, t_prime),
+        "t_prime_complete": _is_complete(x.g, t_prime),
     }
-    if gate.status != "holds":
-        return AuditFinding("S4", "hypotheses-unmet", ctx.graph6, u, c.colors,
-                            hypothesis_failed="gate-I", info=info)
+    if not x.gate_holds:
+        return [x.finding("S4", "hypotheses-unmet", hypothesis_failed="gate-I", info=info)]
     if not t_prime:
-        return AuditFinding("S4", "hypotheses-unmet", ctx.graph6, u, c.colors,
-                            hypothesis_failed="T-prime-empty", info=info)
-    ok = _is_complete(g, target)
-    return AuditFinding("S4", "holds" if ok else "violated", ctx.graph6, u, c.colors,
-                        vertices=tuple(sorted(target)), info=info)
+        return [x.finding("S4", "hypotheses-unmet", hypothesis_failed="T-prime-empty", info=info)]
+    ok = _is_complete(x.g, target)
+    return [x.finding("S4", "holds" if ok else "violated",
+                      vertices=tuple(sorted(target)), info=info)]
 
 
-def check_statement_4(g: Graph, c: Coloring, u: int) -> AuditFinding:
-    """Past the gate with substitutes present, T' and the level-1 substitutes
-    must induce a complete graph.  The T'-completeness sub-check is always
-    reported in the finding's info."""
-    _require_proper(g, c)
-    ctx = _context(g)
-    _require_optimal(ctx, c)
-    return _statement_4(g, c, u, ctx)
-
-
-def _claim_parts(g: Graph, c: Coloring, u: int) -> tuple[dict, bool, bool]:
-    d = unique_color_neighbors(g, c, u)
-    seq = build_sequence(g, c, u)
-    target = sorted(seq.W | seq.primed_union())
-    complete = _is_complete(g, target)
-    colors_in_target = {c.colors[v] for v in target}
-    covers = all(c.colors[r] in colors_in_target for r in d.R)
-    info = {
-        "members": target,
-        "complete": complete,
-        "colors_cover_R": covers,
-        "size": len(target),
-        "R_size": len(d.R),
-    }
-    return info, complete, covers
-
-
-def _claim(g: Graph, c: Coloring, u: int, ctx: _Ctx) -> AuditFinding:
-    gate = _gate(g, c, u, ctx)
-    info, complete, covers = _claim_parts(g, c, u)
-    info["omega"] = ctx.omega
-    if gate.status != "holds":
-        return AuditFinding("CLAIM", "hypotheses-unmet", ctx.graph6, u, c.colors,
-                            hypothesis_failed="gate-I", info=info)
-    ok = complete and covers
-    return AuditFinding("CLAIM", "holds" if ok else "violated", ctx.graph6, u, c.colors,
-                        vertices=tuple(info["members"]), info=info)
-
-
-def check_claim(g: Graph, c: Coloring, u: int) -> AuditFinding:
+def _claim(x: _Instance) -> list[AuditFinding]:
     """Past the gate, W plus all substitute levels must induce a complete
     graph whose colors cover R's colors; since that would force a clique
     of size omega + 1, no instance can satisfy everything at once.  The
     completeness sub-check is always reported in the finding's info."""
-    _require_proper(g, c)
-    ctx = _context(g)
-    _require_optimal(ctx, c)
-    return _claim(g, c, u, ctx)
+    colors = x.c.colors
+    members = sorted(x.seq.W | x.seq.primed_union())
+    complete = _is_complete(x.g, members)
+    colors_in_members = {colors[v] for v in members}
+    covers = all(colors[r] in colors_in_members for r in x.d.R)
+    info = {
+        "members": members,
+        "complete": complete,
+        "colors_cover_R": covers,
+        "size": len(members),
+        "R_size": len(x.d.R),
+        "omega": x.ctx.omega,
+    }
+    if not x.gate_holds:
+        return [x.finding("CLAIM", "hypotheses-unmet", hypothesis_failed="gate-I", info=info)]
+    return [x.finding("CLAIM", "holds" if complete and covers else "violated",
+                      vertices=tuple(members), info=info)]
 
 
-def _final(g: Graph, c: Coloring, u: int, ctx: _Ctx) -> AuditFinding:
-    gate = _gate(g, c, u, ctx)
-    info, complete, covers = _claim_parts(g, c, u)
-    info["omega"] = ctx.omega
-    if gate.status != "holds":
-        return AuditFinding("FINAL", "hypotheses-unmet", ctx.graph6, u, c.colors,
-                            hypothesis_failed="gate-I", info=info)
-    if not complete:
-        return AuditFinding("FINAL", "hypotheses-unmet", ctx.graph6, u, c.colors,
-                            hypothesis_failed="claim-completeness", info=info)
-    return AuditFinding("FINAL", "holds" if covers else "violated",
-                        ctx.graph6, u, c.colors, vertices=tuple(info["members"]), info=info)
-
-
-def check_final(g: Graph, c: Coloring, u: int) -> AuditFinding:
+def _final(x: _Instance) -> list[AuditFinding]:
     """Closing contradiction: a complete W-plus-substitutes set covering R's
     colors would contain a clique on omega + 1 vertices, which cannot exist."""
-    _require_proper(g, c)
+    [claim] = _claim(x)
+    info = claim.info
+    if not x.gate_holds:
+        return [x.finding("FINAL", "hypotheses-unmet", hypothesis_failed="gate-I", info=info)]
+    if not info["complete"]:
+        return [x.finding("FINAL", "hypotheses-unmet",
+                          hypothesis_failed="claim-completeness", info=info)]
+    return [x.finding("FINAL", "holds" if info["colors_cover_R"] else "violated",
+                      vertices=claim.vertices, info=info)]
+
+
+class Statement(NamedTuple):
+    """A registered statement: whether it needs a coloring that achieves
+    chi, and its findings on one instance."""
+
+    needs_optimal: bool
+    run: Callable[[_Instance], list[AuditFinding]]
+
+
+REGISTRY: dict[str, Statement] = {
+    "I": Statement(True, _gate),
+    "S1": Statement(True, _statement_1),
+    "S2": Statement(False, _statement_2),
+    "S3": Statement(False, _statement_3),
+    "S4": Statement(True, _statement_4),
+    "CLAIM": Statement(True, _claim),
+    "FINAL": Statement(True, _final),
+}
+STATEMENTS = tuple(REGISTRY)
+
+
+def check(statement: str, g: Graph, c: Coloring, u: int) -> list[AuditFinding]:
+    """Findings of one registered statement on the instance (g, c, u).
+
+    Raises ValueError for an unknown statement, an improper coloring, or a
+    coloring short of optimal when the statement needs an optimal one.
+    """
+    if statement not in REGISTRY:
+        raise ValueError(f"unknown statement {statement!r}")
+    if not is_proper(g, c):
+        raise ValueError("coloring is not proper")
     ctx = _context(g)
-    _require_optimal(ctx, c)
-    return _final(g, c, u, ctx)
+    needs_optimal, run = REGISTRY[statement]
+    if needs_optimal and c.color_count != ctx.chi:
+        raise ValueError(
+            f"coloring uses {c.color_count} colors but chi = {ctx.chi}; "
+            f"statement {statement} needs an optimal coloring"
+        )
+    return run(_instance(g, c, u, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +356,8 @@ def check_final(g: Graph, c: Coloring, u: int) -> AuditFinding:
 def audit_colorings(g: Graph, cap: int = DEFAULT_COLORING_CAP) -> tuple[tuple[Coloring, ...], bool]:
     """The audit coloring policy: all canonical optimal colorings (capped)
     for n <= 7, first-fit colorings from every vertex rotation above that."""
+    if cap < 1:
+        raise ValueError(f"coloring cap must be at least 1, got {cap}")
     if g.n <= 7:
         enum = enumerate_optimal_colorings(g, cap=cap)
         return enum.colorings, enum.truncated
@@ -386,42 +396,34 @@ class AuditReport:
 
 
 def audit_graph(g: Graph, coloring_budget: int = DEFAULT_COLORING_CAP) -> AuditReport:
-    """Run every check over all vertices and the coloring policy.
+    """Run every registered statement over all vertices and the coloring policy.
 
-    Gate-dependent checks (I, S1, S4, CLAIM, FINAL) only run on colorings
-    that achieve chi; S2 and S3 run on every proper policy coloring.
+    Statements that need an optimal coloring (I, S1, S4, CLAIM, FINAL) only
+    run on colorings that achieve chi; S2 and S3 run on every proper policy
+    coloring.  Within one instance, findings follow the registry order.
     """
     if g.n > 10:
-        raise ValueError("audit is limited to 10 vertices")
+        raise ValueError(f"audit is limited to 10 vertices, got n={g.n} in {graph_to_graph6(g)}")
     ctx = _context(g)
     colorings, truncated = audit_colorings(g, cap=coloring_budget)
     counters = {s: {st: 0 for st in STATUSES} for s in STATEMENTS}
     violations: list[AuditFinding] = []
     gate_full_pass = 0
 
-    def record(finding: AuditFinding) -> None:
-        counters[finding.statement][finding.status] += 1
-        if finding.status == "violated":
-            violations.append(finding)
-
     for c in colorings:
         optimal = c.color_count == ctx.chi
-        all_gates_hold = g.n > 0
+        all_gates_hold = optimal and g.n > 0
         for u in range(g.n):
-            if optimal:
-                gate = _gate(g, c, u, ctx)
-                record(gate)
-                if gate.status != "holds":
-                    all_gates_hold = False
-                record(_statement_1(g, c, u, ctx))
-                record(_statement_4(g, c, u, ctx))
-                record(_claim(g, c, u, ctx))
-                record(_final(g, c, u, ctx))
-            for finding in _statement_2(g, c, u, ctx):
-                record(finding)
-            for finding in _statement_3(g, c, u, ctx):
-                record(finding)
-        if optimal and all_gates_hold:
+            instance = _instance(g, c, u, ctx)
+            all_gates_hold = all_gates_hold and instance.gate_holds
+            for needs_optimal, run in REGISTRY.values():
+                if needs_optimal and not optimal:
+                    continue
+                for finding in run(instance):
+                    counters[finding.statement][finding.status] += 1
+                    if finding.status == "violated":
+                        violations.append(finding)
+        if all_gates_hold:
             gate_full_pass += 1
 
     return AuditReport(
@@ -436,29 +438,14 @@ def audit_graph(g: Graph, coloring_budget: int = DEFAULT_COLORING_CAP) -> AuditR
 
 
 def replay_finding(certificate: dict) -> AuditFinding:
-    """Re-run the single check named by a serialized certificate."""
+    """Re-run the statement named by a serialized certificate and return the
+    finding whose vertex tuple matches the certificate's."""
     g = graph_from_graph6(certificate["graph6"])
     colors = tuple(certificate["colors"])
     c = Coloring(colors, max(colors) + 1 if colors else 0)
-    u = certificate["u"]
     statement = certificate["statement"]
     key = tuple(certificate.get("tuple", ()))
-    if statement == "I":
-        return check_gate_I(g, c, u)
-    if statement == "S1":
-        return check_statement_1(g, c, u)
-    if statement == "S2":
-        matches = [f for f in check_statement_2(g, c, u) if f.vertices == key]
-    elif statement == "S3":
-        matches = [f for f in check_statement_3(g, c, u) if f.vertices == key]
-    elif statement == "S4":
-        return check_statement_4(g, c, u)
-    elif statement == "CLAIM":
-        return check_claim(g, c, u)
-    elif statement == "FINAL":
-        return check_final(g, c, u)
-    else:
-        raise ValueError(f"unknown statement {statement!r}")
-    if not matches:
-        raise ValueError(f"certificate tuple {key} does not match any {statement} finding")
-    return matches[0]
+    for finding in check(statement, g, c, certificate["u"]):
+        if finding.vertices == key:
+            return finding
+    raise ValueError(f"certificate tuple {key} does not match any {statement} finding")

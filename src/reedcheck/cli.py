@@ -29,6 +29,11 @@ class UsageError(Exception):
     pass
 
 
+# latin-1 decodes every byte, so a non-ASCII line reaches the graph6
+# decoder and is rejected (or skipped under --lenient) as a malformed line
+_SOURCE_ENCODING = "latin-1"
+
+
 def _default_workers() -> int:
     try:
         return max(1, int(os.environ.get("REED_WORKERS", "1")))
@@ -89,7 +94,7 @@ def _input_graphs(args) -> tuple[list[tuple[str, object]], int]:
         labeled.append((graph_to_graph6(g), g))
     if args.source:
         try:
-            with open(args.source, encoding="ascii") as handle:
+            with open(args.source, encoding=_SOURCE_ENCODING) as handle:
                 stream = read_graph6_stream(handle, strict=args.strict)
                 for _, g in stream:
                     labeled.append((graph_to_graph6(g), g))
@@ -160,6 +165,8 @@ def cmd_sweep(args) -> int:
     family = _resolve_family(args)
     if args.source is not None and args.n_max is not None:
         raise UsageError("--n-max and --source are mutually exclusive")
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
     if args.source is None:
         n_max = args.n_max if args.n_max is not None else 7
         if not 0 <= n_max <= MAX_ENUMERATION_N:
@@ -170,7 +177,7 @@ def cmd_sweep(args) -> int:
         report = sweep(family, n_max, audit=args.audit, workers=args.workers)
     else:
         try:
-            with open(args.source, encoding="ascii") as handle:
+            with open(args.source, encoding=_SOURCE_ENCODING) as handle:
                 report = sweep_stream(family, handle, strict=args.strict,
                                       audit=args.audit, workers=args.workers)
         except OSError as exc:
@@ -205,8 +212,6 @@ def cmd_audit(args) -> int:
     lines = []
     member_violations = 0
     for g6, g in labeled:
-        if g.n > 10:
-            raise UsageError(f"audit is limited to 10 vertices, got n={g.n} in {g6}")
         member = in_family(g, family).member
         report = audit_graph(g, coloring_budget=args.cap)
         if member:

@@ -277,8 +277,9 @@ class SequenceDecomposition:
         return frozenset(out)
 
 
-def build_sequence(g: Graph, c: Coloring, u: int) -> SequenceDecomposition:
-    d = unique_color_neighbors(g, c, u)
+def build_sequence(g: Graph, c: Coloring, d: UniqueColorDecomposition) -> SequenceDecomposition:
+    """The substitute levels around the apex of the decomposition ``d``."""
+    u = d.u
     t_prime = derive_T_prime(g, c, d)
     levels = [(d.T, t_prime)]
     pool = set(d.S)

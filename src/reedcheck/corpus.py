@@ -18,6 +18,7 @@ order, so reports are byte-identical for any worker count.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -242,7 +243,7 @@ def _run_chunks(family: FamilySpec, g6_list: list[str], audit: bool,
         (payload, g6_list[i:i + chunk_size], audit, coloring_cap)
         for i in range(0, len(g6_list), chunk_size)
     ]
-    with multiprocessing.Pool(workers) as pool:
+    with multiprocessing.Pool(min(workers, os.cpu_count() or 1, len(chunks))) as pool:
         parts = pool.map(_sweep_chunk, chunks)
     return _merge_parts(parts)
 

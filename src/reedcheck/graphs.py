@@ -130,13 +130,6 @@ def iter_bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 def complement(g: Graph) -> Graph:
     """Edge vw present iff v != w and vw absent in ``g``."""
     full = (1 << g.n) - 1

@@ -122,13 +122,6 @@ def in_family(g: Graph, family: FamilySpec) -> FamilyCheck:
     return FamilyCheck(member=True)
 
 
-def family_from_names(name: str) -> FamilySpec:
-    """One of the five built-in families by its CLI name."""
-    if name not in FAMILIES:
-        raise ValueError(f"unknown family {name!r}; valid: {', '.join(sorted(FAMILIES))}")
-    return FAMILIES[name]
-
-
 FAMILIES: dict[str, FamilySpec] = {
     "p5-flagc": FamilySpec("p5-flagc", (("P5", _CATALOG["P5"]), ("FlagC", _CATALOG["FlagC"]))),
     "p5-c4": FamilySpec("p5-c4", (("P5", _CATALOG["P5"]), ("C4", _CATALOG["C4"]))),

@@ -173,7 +173,7 @@ def test_c07_statement_2_3_audit(audited_theorem_sweep):
 
 def test_c08_gate_property(audited_theorem_sweep):
     full_pass = audited_theorem_sweep.audit["gate_full_pass_members"]
-    c5_gate = rc.check_gate_I(Graph.cycle(5), Coloring((0, 1, 2, 1, 2), 3), 0)
+    [c5_gate] = rc.check("I", Graph.cycle(5), Coloring((0, 1, 2, 1, 2), 3), 0)
     ok = (
         full_pass == []
         and c5_gate.status == "gate-failed"

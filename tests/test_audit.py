@@ -1,18 +1,7 @@
 import pytest
 
 import reedcheck as rc
-from reedcheck.audit import (
-    STATEMENTS,
-    STATUSES,
-    check_claim,
-    check_final,
-    check_gate_I,
-    check_statement_1,
-    check_statement_2,
-    check_statement_3,
-    check_statement_4,
-    replay_finding,
-)
+from reedcheck.audit import REGISTRY, STATEMENTS, STATUSES, audit_colorings, check, replay_finding
 from reedcheck.coloring import Coloring
 from reedcheck.graphs import Graph
 
@@ -38,7 +27,7 @@ S3_COLORING = Coloring((0, 1, 2, 3, 1, 2, 3, 0), 4)
 
 
 def test_gate_fails_on_c5():
-    finding = check_gate_I(C5, APEX, 0)
+    [finding] = check("I", C5, APEX, 0)
     assert finding.status == "gate-failed"
     assert finding.info["R"] == [1, 4]
     assert not finding.info["size_condition"]  # |R| = 2 < omega + 1 = 3
@@ -47,26 +36,26 @@ def test_gate_fails_on_c5():
 def test_gate_fails_on_k5():
     c = Coloring((0, 1, 2, 3, 4), 5)
     for u in range(5):
-        finding = check_gate_I(Graph.complete(5), c, u)
+        [finding] = check("I", Graph.complete(5), c, u)
         assert finding.status == "gate-failed"
         assert not finding.info["size_condition"]  # |R| = 4 < omega + 1 = 6
 
 
 def test_gate_rejects_non_optimal_coloring():
     with pytest.raises(ValueError):
-        check_gate_I(Graph.path(4), Coloring((0, 1, 2, 0), 3), 1)
+        check("I", Graph.path(4), Coloring((0, 1, 2, 0), 3), 1)
 
 
 def test_statement_1_hypotheses_unmet():
-    f = check_statement_1(C5, APEX, 0)
+    [f] = check("S1", C5, APEX, 0)
     assert f.status == "hypotheses-unmet"
     assert f.hypothesis_failed == "gate-I"
-    f = check_statement_1(Graph.complete(3), Coloring((0, 1, 2), 3), 0)
+    [f] = check("S1", Graph.complete(3), Coloring((0, 1, 2), 3), 0)
     assert f.status == "hypotheses-unmet"
 
 
 def test_statement_2_on_c5_apex():
-    findings = check_statement_2(C5, APEX, 0)
+    findings = check("S2", C5, APEX, 0)
     by_pair = {f.vertices: f for f in findings}
     assert set(by_pair) == {(1, 4), (4, 1)}
     f = by_pair[(1, 4)]
@@ -76,7 +65,7 @@ def test_statement_2_on_c5_apex():
 
 
 def test_statement_2_vacuous_on_k3():
-    assert check_statement_2(Graph.complete(3), Coloring((0, 1, 2), 3), 0) == []
+    assert check("S2", Graph.complete(3), Coloring((0, 1, 2), 3), 0) == []
 
 
 def test_statement_3_vacuous_when_T_small():
@@ -85,13 +74,13 @@ def test_statement_3_vacuous_when_T_small():
             for u in range(g.n):
                 d = rc.unique_color_neighbors(g, c, u)
                 if len(d.T) <= 2:
-                    assert check_statement_3(g, c, u) == []
+                    assert check("S3", g, c, u) == []
 
 
 def test_statement_3_regression_fixture():
     assert rc.has_induced(S3_HOST, rc.builtin_pattern("P5")) == (0, 2, 4, 5, 7)
     assert rc.is_proper(S3_HOST, S3_COLORING)
-    findings = check_statement_3(S3_HOST, S3_COLORING, 0)
+    findings = check("S3", S3_HOST, S3_COLORING, 0)
     by_triple = {f.vertices: f for f in findings}
     f = by_triple[(1, 2, 3)]
     assert f.status == "holds"
@@ -99,7 +88,7 @@ def test_statement_3_regression_fixture():
 
 
 def test_statement_4_c5_reports_informational_completeness():
-    f = check_statement_4(C5, APEX, 0)
+    [f] = check("S4", C5, APEX, 0)
     assert f.status == "hypotheses-unmet"
     assert f.hypothesis_failed == "gate-I"
     assert f.info["T_prime"] == [2, 3]
@@ -108,24 +97,24 @@ def test_statement_4_c5_reports_informational_completeness():
 
 def test_statement_4_empty_substitutes_on_complete_graphs():
     c = Coloring((0, 1, 2, 3), 4)
-    f = check_statement_4(Graph.complete(4), c, 0)
+    [f] = check("S4", Graph.complete(4), c, 0)
     assert f.status == "hypotheses-unmet"
     assert f.info["T_prime"] == []
 
 
 def test_claim_on_c5_and_isolated_vertex():
-    f = check_claim(C5, APEX, 0)
+    [f] = check("CLAIM", C5, APEX, 0)
     assert f.status == "hypotheses-unmet"
     assert f.info["members"] == [2, 3]
     assert f.info["complete"] is True
     g = Graph.empty(2)
-    f = check_claim(g, Coloring((0, 0), 1), 0)
+    [f] = check("CLAIM", g, Coloring((0, 0), 1), 0)
     assert f.status == "hypotheses-unmet"
     assert f.info["R_size"] == 0
 
 
 def test_final_requires_gate_and_completeness():
-    f = check_final(C5, APEX, 0)
+    [f] = check("FINAL", C5, APEX, 0)
     assert f.status == "hypotheses-unmet"
     assert f.hypothesis_failed == "gate-I"
 
@@ -168,17 +157,18 @@ def test_hypotheses_unmet_always_names_the_hypothesis(graphs_by_n):
         for c in rc.enumerate_optimal_colorings(g, cap=5).colorings:
             for u in range(g.n):
                 for f in (
-                    [check_statement_1(g, c, u), check_statement_4(g, c, u),
-                     check_claim(g, c, u), check_final(g, c, u)]
-                    + check_statement_2(g, c, u)
-                    + check_statement_3(g, c, u)
+                    check("S1", g, c, u) + check("S4", g, c, u)
+                    + check("CLAIM", g, c, u) + check("FINAL", g, c, u)
+                    + check("S2", g, c, u)
+                    + check("S3", g, c, u)
                 ):
                     if f.status == "hypotheses-unmet":
                         assert f.hypothesis_failed
 
 
 def test_certificate_schema_and_replay():
-    cert = check_statement_4(C5, APEX, 0).to_json()
+    [finding] = check("S4", C5, APEX, 0)
+    cert = finding.to_json()
     assert set(cert) == {
         "statement", "status", "graph6", "u", "colors", "tuple",
         "hypothesis_failed", "info",
@@ -214,3 +204,25 @@ def test_replay_is_deterministic_on_audit_violations(graphs_by_n):
         if replayed >= 6:
             break
     assert replayed >= 1
+
+
+def test_every_finding_replays_to_itself(graphs_by_n):
+    statuses = set()
+    for n in range(6):
+        for g in graphs_by_n[n]:
+            chi = rc.chromatic_number(g)
+            for c in audit_colorings(g)[0]:
+                for u in range(n):
+                    for statement, spec in REGISTRY.items():
+                        if spec.needs_optimal and c.color_count != chi:
+                            continue
+                        for f in check(statement, g, c, u):
+                            assert replay_finding(f.to_json()) == f
+                            statuses.add(f.status)
+    assert statuses == {"holds", "hypotheses-unmet", "gate-failed"}
+
+
+def test_registry_order_is_statements():
+    assert STATEMENTS == ("I", "S1", "S2", "S3", "S4", "CLAIM", "FINAL")
+    with pytest.raises(ValueError):
+        check("S5", C5, APEX, 0)

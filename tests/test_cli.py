@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -94,10 +95,10 @@ def test_sweep_source_file(capsys, tmp_path):
 
 def test_sweep_source_lenient_counts_skips(capsys, tmp_path):
     src = tmp_path / "graphs.g6"
-    src.write_text(f"{C5_G6}\n!!bad\n{K5_G6}\n")
+    src.write_text(f"{C5_G6}\né\n!!bad\n{K5_G6}\n", encoding="utf-8")
     code, out, _ = run(capsys, "sweep", "--source", str(src), "--lenient")
     assert code == 0
-    assert ndjson(out)[0]["skipped_lines"] == 1
+    assert ndjson(out)[0]["skipped_lines"] == 2
     code, _, err = run(capsys, "sweep", "--source", str(src), "--strict")
     assert code == 2
     assert "line 2" in err
@@ -112,6 +113,26 @@ def test_sweep_workers_byte_identical(capsys):
         row.pop("wall_time_s")
         outputs.append(json.dumps(row, sort_keys=True))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_bad_workers_and_cap_are_usage_errors(capsys):
+    code, _, err = run(capsys, "sweep", "--n-max", "4", "--workers", "-5")
+    assert code == 2
+    assert "--workers" in err
+    code, out, err = run(capsys, "audit", "--cap", "0", "Dhc")
+    assert code == 2 and out == ""
+    assert "cap" in err
+
+
+def test_audit_size_limit_names_the_graph(capsys, tmp_path):
+    src = tmp_path / "graphs.g6"
+    src.write_text("Dhc\nJ~~~~~~~~~_\n")
+    code, _, err = run(capsys, "sweep", "--source", str(src), "--audit")
+    assert code == 2
+    assert "J~~~~~~~~~_" in err
+    code, _, err = run(capsys, "audit", "--source", str(src))
+    assert code == 2
+    assert "J~~~~~~~~~_" in err
 
 
 def test_workers_env_default(capsys, monkeypatch):
@@ -157,6 +178,21 @@ def test_audit_certificate_replay_round_trip(capsys):
     for cert in row["violations"]:
         replayed = rc.replay_finding(cert)
         assert statuses[(cert["statement"], tuple(cert["tuple"]), cert["u"])] == replayed.status
+
+
+def test_audit_source_output_is_pinned(capsys, tmp_path, graphs_by_n):
+    # every byte of the audit of all 209 graphs with n <= 6: counters,
+    # violated certificates and their order
+    src = tmp_path / "graphs.g6"
+    src.write_text("".join(
+        rc.graph_to_graph6(g) + "\n" for n in range(7) for g in graphs_by_n[n]))
+    code, out, _ = run(capsys, "audit", "--source", str(src))
+    assert code == 0
+    rows = ndjson(out)
+    assert len(rows) == 209
+    assert sum(len(row["violations"]) for row in rows) == 8
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "44cf60893b3f15ad8da1bc929f205e2a69e7164bf375a5c0fd5e2812d709cd4d")
 
 
 def test_patterns_command(capsys):

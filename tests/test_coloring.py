@@ -194,14 +194,14 @@ def test_derive_T_prime_examples():
 
 
 def test_build_sequence_examples():
-    seq = rc.build_sequence(C5, APEX, 0)
+    seq = rc.build_sequence(C5, APEX, rc.unique_color_neighbors(C5, APEX, 0))
     assert seq.levels == ((frozenset({1, 4}), frozenset({2, 3})),)
     assert seq.W == frozenset()
     assert seq.k == 0
 
     k4 = Graph.complete(4)
     ck4 = Coloring((0, 1, 2, 3), 4)
-    seq = rc.build_sequence(k4, ck4, 0)
+    seq = rc.build_sequence(k4, ck4, rc.unique_color_neighbors(k4, ck4, 0))
     assert seq.levels[0] == (frozenset(), frozenset())
     assert seq.W == {1, 2, 3}  # W = S = N(u)
 
@@ -214,7 +214,7 @@ def test_build_sequence_structural_properties(graphs_by_n, flagc_family):
             for c in rc.enumerate_optimal_colorings(g, cap=30).colorings:
                 for u in range(n):
                     d = rc.unique_color_neighbors(g, c, u)
-                    seq = rc.build_sequence(g, c, u)
+                    seq = rc.build_sequence(g, c, d)
                     assert seq.k <= len(d.S) + 1
                     assert seq.levels[0][0] == d.T
                     consumed = set()
@@ -245,6 +245,6 @@ def test_level_color_coverage_is_not_universal():
     g = rc.graph_from_graph6("F@P|w")
     c = Coloring((0, 0, 0, 1, 1, 2, 3), 4)
     assert rc.is_proper(g, c) and c.color_count == rc.chromatic_number(g)
-    seq = rc.build_sequence(g, c, 4)
+    seq = rc.build_sequence(g, c, rc.unique_color_neighbors(g, c, 4))
     s1, s1p = seq.levels[1]
     assert s1 == {5} and s1p == frozenset()

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import reedcheck as rc
+from reedcheck import corpus
 from reedcheck.corpus import read_graph6_stream
 from reedcheck.graphs import Graph6Error, graph_to_graph6
 
@@ -100,3 +101,29 @@ def test_sweep_report_shape(flagc_family):
     )
     assert payload["audit"]["gate_full_pass_members"] == []
     json.dumps(payload)  # must be JSON-serializable as-is
+
+
+def test_pool_size_is_capped_by_cpu_count(flagc_family, graphs_by_n, monkeypatch):
+    # the fake pool runs chunks in this process and records the size it was given
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return [fn(chunk) for chunk in chunks]
+
+    monkeypatch.setattr(corpus.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(corpus.os, "cpu_count", lambda: 3)
+    g6_list = [graph_to_graph6(g) for n in range(6) for g in graphs_by_n[n]]
+    serial = corpus._run_chunks(flagc_family, g6_list, False, 1, 10)
+    assert corpus._run_chunks(flagc_family, g6_list, False, 8, 10) == serial
+    assert corpus._run_chunks(flagc_family, g6_list, False, 2, 10) == serial
+    assert sizes == [3, 2]
