@@ -11,10 +11,11 @@ claim and the final clique contradiction) are gated on it rather than
 declared violated on instances outside their hypotheses.
 
 Everything the statements read about one instance (the R/S/T
-decomposition, the gate values, the substitute levels and the ordered
-non-adjacent pairs of T) is built once, and each statement is a pure
-function of that record.  The statements live in one ordered registry,
-through which whole-graph audits, single checks and replays dispatch.
+decomposition, the gate values, the substitute levels, the ordered
+non-adjacent pairs of T and the set that CLAIM and FINAL test) is built
+at most once, and each statement is a pure function of that record.
+The statements live in one ordered registry, through which whole-graph
+audits, single checks and replays dispatch.
 
 Violated findings on hosts containing a forbidden pattern are expected
 and kept: they demonstrate that the forbidden subgraphs are doing the
@@ -26,6 +27,7 @@ named statement on a certificate reproduces its finding exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, NamedTuple
 
@@ -144,6 +146,22 @@ class _Instance:
     @property
     def gate_holds(self) -> bool:
         return self.degree_ok and self.size_ok
+
+    @cached_property
+    def claim_set(self) -> dict:
+        """W plus all substitute levels, whether it is complete and whether
+        its colors cover R's; CLAIM and FINAL both report it as their info."""
+        colors = self.c.colors
+        members = sorted(self.seq.W | self.seq.primed_union())
+        colors_in_members = {colors[v] for v in members}
+        return {
+            "members": members,
+            "complete": _is_complete(self.g, members),
+            "colors_cover_R": all(colors[r] in colors_in_members for r in self.d.R),
+            "size": len(members),
+            "R_size": len(self.d.R),
+            "omega": self.ctx.omega,
+        }
 
     def finding(self, statement: str, status: str, **fields) -> AuditFinding:
         return AuditFinding(statement, status, self.ctx.graph6, self.u, self.c.colors, **fields)
@@ -276,37 +294,25 @@ def _claim(x: _Instance) -> list[AuditFinding]:
     graph whose colors cover R's colors; since that would force a clique
     of size omega + 1, no instance can satisfy everything at once.  The
     completeness sub-check is always reported in the finding's info."""
-    colors = x.c.colors
-    members = sorted(x.seq.W | x.seq.primed_union())
-    complete = _is_complete(x.g, members)
-    colors_in_members = {colors[v] for v in members}
-    covers = all(colors[r] in colors_in_members for r in x.d.R)
-    info = {
-        "members": members,
-        "complete": complete,
-        "colors_cover_R": covers,
-        "size": len(members),
-        "R_size": len(x.d.R),
-        "omega": x.ctx.omega,
-    }
+    info = x.claim_set
     if not x.gate_holds:
         return [x.finding("CLAIM", "hypotheses-unmet", hypothesis_failed="gate-I", info=info)]
-    return [x.finding("CLAIM", "holds" if complete and covers else "violated",
-                      vertices=tuple(members), info=info)]
+    ok = info["complete"] and info["colors_cover_R"]
+    return [x.finding("CLAIM", "holds" if ok else "violated",
+                      vertices=tuple(info["members"]), info=info)]
 
 
 def _final(x: _Instance) -> list[AuditFinding]:
     """Closing contradiction: a complete W-plus-substitutes set covering R's
     colors would contain a clique on omega + 1 vertices, which cannot exist."""
-    [claim] = _claim(x)
-    info = claim.info
+    info = x.claim_set
     if not x.gate_holds:
         return [x.finding("FINAL", "hypotheses-unmet", hypothesis_failed="gate-I", info=info)]
     if not info["complete"]:
         return [x.finding("FINAL", "hypotheses-unmet",
                           hypothesis_failed="claim-completeness", info=info)]
     return [x.finding("FINAL", "holds" if info["colors_cover_R"] else "violated",
-                      vertices=claim.vertices, info=info)]
+                      vertices=tuple(info["members"]), info=info)]
 
 
 class Statement(NamedTuple):

@@ -128,16 +128,6 @@ class SweepReport:
         }
 
 
-def _family_payload(family: FamilySpec) -> tuple:
-    return (family.name, tuple((label, graph_to_graph6(p)) for label, p in family.forbidden))
-
-
-@lru_cache(maxsize=None)
-def _family_from_payload(payload: tuple) -> FamilySpec:
-    name, forbidden = payload
-    return FamilySpec(name, tuple((label, graph_from_graph6(g6)) for label, g6 in forbidden))
-
-
 def _empty_audit_totals() -> dict:
     return {
         "instances": {s: {st: 0 for st in STATUSES} for s in STATEMENTS},
@@ -149,8 +139,7 @@ def _empty_audit_totals() -> dict:
 
 
 def _sweep_chunk(args) -> dict:
-    family_payload, g6_chunk, audit, coloring_cap = args
-    family = _family_from_payload(family_payload)
+    family, graphs, audit, coloring_cap = args
     part = {
         "examined": 0,
         "members": 0,
@@ -160,8 +149,7 @@ def _sweep_chunk(args) -> dict:
         "tight": [],
         "audit": _empty_audit_totals() if audit else None,
     }
-    for g6 in g6_chunk:
-        g = graph_from_graph6(g6)
+    for g in graphs:
         row = part["per_n"].setdefault(g.n, {"examined": 0, "members": 0, "tight": 0})
         part["examined"] += 1
         row["examined"] += 1
@@ -170,15 +158,17 @@ def _sweep_chunk(args) -> dict:
         part["members"] += 1
         row["members"] += 1
         bundle = invariant_bundle(g)
+        report = audit_graph(g, coloring_budget=coloring_cap) if audit else None
+        # encode only the graphs the report prints; an audit has encoded its graph already
+        g6 = report.graph6 if report else None
         if bundle.slack < 0:
-            part["violations"].append({"graph6": g6, **bundle.to_json()})
+            part["violations"].append({"graph6": g6 or graph_to_graph6(g), **bundle.to_json()})
         if bundle.slack == 0:
             part["tight_count"] += 1
             row["tight"] += 1
             if len(part["tight"]) < _EXEMPLAR_CAP:
-                part["tight"].append(g6)
+                part["tight"].append(g6 or graph_to_graph6(g))
         if audit:
-            report = audit_graph(g, coloring_budget=coloring_cap)
             totals = part["audit"]
             for s in STATEMENTS:
                 for st in STATUSES:
@@ -188,7 +178,7 @@ def _sweep_chunk(args) -> dict:
                 if len(totals["violated_certificates"]) < _AUDIT_CERT_CAP:
                     totals["violated_certificates"].append(f.to_json())
             if report.gate_full_pass_colorings > 0:
-                totals["gate_full_pass_members"].append(g6)
+                totals["gate_full_pass_members"].append(report.graph6)
             if report.truncated:
                 totals["colorings_truncated"] += 1
     return part
@@ -233,15 +223,14 @@ def _merge_parts(parts: list[dict]) -> dict:
     return total
 
 
-def _run_chunks(family: FamilySpec, g6_list: list[str], audit: bool,
+def _run_chunks(family: FamilySpec, graphs: list[Graph], audit: bool,
                 workers: int, coloring_cap: int) -> dict:
-    payload = _family_payload(family)
-    if workers <= 1 or len(g6_list) < 2 * workers:
-        return _merge_parts([_sweep_chunk((payload, g6_list, audit, coloring_cap))])
-    chunk_size = max(1, (len(g6_list) + workers * 4 - 1) // (workers * 4))
+    if workers <= 1 or len(graphs) < 2 * workers:
+        return _merge_parts([_sweep_chunk((family, graphs, audit, coloring_cap))])
+    chunk_size = max(1, (len(graphs) + workers * 4 - 1) // (workers * 4))
     chunks = [
-        (payload, g6_list[i:i + chunk_size], audit, coloring_cap)
-        for i in range(0, len(g6_list), chunk_size)
+        (family, graphs[i:i + chunk_size], audit, coloring_cap)
+        for i in range(0, len(graphs), chunk_size)
     ]
     with multiprocessing.Pool(min(workers, os.cpu_count() or 1, len(chunks))) as pool:
         parts = pool.map(_sweep_chunk, chunks)
@@ -255,8 +244,8 @@ def sweep(family: FamilySpec, n_max: int, *, audit: bool = False, workers: int =
     if not 0 <= n_max <= MAX_ENUMERATION_N:
         raise ValueError(f"n_max must be within 0..{MAX_ENUMERATION_N}")
     start = time.monotonic()
-    g6_list = [graph_to_graph6(g) for n in range(n_max + 1) for g in enumerate_graphs(n)]
-    total = _run_chunks(family, g6_list, audit, workers, coloring_cap)
+    graphs = [g for n in range(n_max + 1) for g in enumerate_graphs(n)]
+    total = _run_chunks(family, graphs, audit, workers, coloring_cap)
     return _finish_report(family, n_max, total, skipped=0, start=start)
 
 
@@ -265,8 +254,8 @@ def sweep_stream(family: FamilySpec, lines, *, strict: bool = True, audit: bool 
     """Same verification over an external graph6 stream (one graph per line)."""
     start = time.monotonic()
     stream = read_graph6_stream(lines, strict=strict)
-    g6_list = [graph_to_graph6(g) for _, g in stream]
-    total = _run_chunks(family, g6_list, audit, workers, coloring_cap)
+    graphs = [g for _, g in stream]
+    total = _run_chunks(family, graphs, audit, workers, coloring_cap)
     return _finish_report(family, None, total, skipped=len(stream.skipped), start=start)
 
 

@@ -7,10 +7,13 @@ carries the five-vertex banner (a 4-cycle with one pendant vertex) under
 the name ``FlagC`` together with its complement ``Flag``, plus the usual
 small patterns P5, C4, C5, 2K2, 3K1 and P3+K1.
 
-Detection is exhaustive backtracking over injective vertex maps with
-degree and adjacency pruning; patterns here have at most 10 vertices, so
-exhaustive search is instant and returns the lexicographically least
-witness, which keeps certificates reproducible.
+Detection is a backtracking search over bitset candidate sets: the
+candidates for the next pattern vertex are the host vertices of large
+enough degree, ANDed with the neighbor row of each placed image the
+pattern vertex is adjacent to and with the non-neighbor row of every
+other placed image.  Candidates are taken lowest bit first, so the search
+returns the lexicographically least witness, which keeps certificates
+reproducible; patterns here have at most 10 vertices.
 """
 
 from __future__ import annotations
@@ -54,36 +57,36 @@ def has_induced(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
     Returns the ordered host vertices that the pattern vertices 0..k-1 map
     to, or None when no induced copy exists.
     """
-    k = pattern.n
-    if k > host.n:
+    k, n = pattern.n, host.n
+    if k > n:
         return None
     if k == 0:
         return ()
     hadj = host.adj
     padj = pattern.adj
-    pdeg = [padj[v].bit_count() for v in range(k)]
-    hdeg = [hadj[v].bit_count() for v in range(host.n)]
-    image: list[int] = []
-    used = 0
+    full = (1 << n) - 1
+    # neither mask of a host vertex contains the vertex itself, so the
+    # candidates never include a vertex already placed
+    non_adj = [full & ~(hadj[w] | (1 << w)) for w in range(n)]
+    at_least = [0] * (n + 1)  # at_least[d]: host vertices of degree >= d
+    for w in range(n):
+        at_least[hadj[w].bit_count()] |= 1 << w
+    for d in range(n - 1, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    allowed = [at_least[padj[v].bit_count()] for v in range(k)]
+    image = [0] * k
 
     def extend(v: int) -> bool:
-        nonlocal used
-        for w in range(host.n):
-            if (used >> w) & 1 or hdeg[w] < pdeg[v]:
-                continue
-            ok = True
-            for u in range(v):
-                if ((padj[v] >> u) & 1) != ((hadj[w] >> image[u]) & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image.append(w)
-            used |= 1 << w
+        cand = allowed[v]
+        row = padj[v]
+        for u in range(v):
+            cand &= hadj[image[u]] if (row >> u) & 1 else non_adj[image[u]]
+        while cand:
+            low = cand & -cand
+            image[v] = low.bit_length() - 1
             if v + 1 == k or extend(v + 1):
                 return True
-            image.pop()
-            used &= ~(1 << w)
+            cand ^= low
         return False
 
     if extend(0):

@@ -122,8 +122,8 @@ def test_pool_size_is_capped_by_cpu_count(flagc_family, graphs_by_n, monkeypatch
 
     monkeypatch.setattr(corpus.multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(corpus.os, "cpu_count", lambda: 3)
-    g6_list = [graph_to_graph6(g) for n in range(6) for g in graphs_by_n[n]]
-    serial = corpus._run_chunks(flagc_family, g6_list, False, 1, 10)
-    assert corpus._run_chunks(flagc_family, g6_list, False, 8, 10) == serial
-    assert corpus._run_chunks(flagc_family, g6_list, False, 2, 10) == serial
+    graphs = [g for n in range(6) for g in graphs_by_n[n]]
+    serial = corpus._run_chunks(flagc_family, graphs, False, 1, 10)
+    assert corpus._run_chunks(flagc_family, graphs, False, 8, 10) == serial
+    assert corpus._run_chunks(flagc_family, graphs, False, 2, 10) == serial
     assert sizes == [3, 2]

@@ -1,8 +1,37 @@
+from itertools import combinations, permutations
+
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 import reedcheck as rc
 from reedcheck.graphs import Graph
 from reedcheck.patterns import FAMILIES, FamilySpec, catalog_names
+
+
+def _is_order_exact(host, pattern, image):
+    """Pattern edge iff host edge, position by position."""
+    return all(
+        pattern.has_edge(i, j) == host.has_edge(image[i], image[j])
+        for i, j in combinations(range(pattern.n), 2)
+    )
+
+
+def _least_embedding(host, pattern):
+    """Brute-force oracle: the first order-exact embedding in tuple order."""
+    for image in permutations(range(host.n), pattern.n):
+        if _is_order_exact(host, pattern, image):
+            return image
+    return None
+
+
+def _to_networkx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
 
 
 def test_catalog_shapes():
@@ -70,6 +99,36 @@ def test_witness_is_induced_and_least(graphs_by_n):
         for i in range(5):
             for j in range(i + 1, 5):
                 assert p5.has_edge(i, j) == g.has_edge(witness[i], witness[j])
+    # and least: the first embedding in tuple order, for every catalog pattern
+    for name in catalog_names():
+        pattern = rc.builtin_pattern(name)
+        for n in range(7):
+            for g in graphs_by_n[n]:
+                expected = _least_embedding(g, pattern)
+                assert rc.has_induced(g, pattern) == expected, (name, rc.graph_to_graph6(g))
+
+
+@st.composite
+def _random_hosts(draw):
+    n = draw(st.integers(8, 14))
+    density = draw(st.floats(0.1, 0.95))
+    pairs = list(combinations(range(n), 2))
+    coins = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, coin in zip(pairs, coins) if coin < density])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_hosts())
+def test_has_induced_agrees_with_networkx(host):
+    h = _to_networkx(host)
+    for name in catalog_names():
+        pattern = rc.builtin_pattern(name)
+        witness = rc.has_induced(host, pattern)
+        found = GraphMatcher(h, _to_networkx(pattern)).subgraph_is_isomorphic()
+        assert (witness is not None) == found, name
+        if witness is not None:
+            assert len(set(witness)) == pattern.n
+            assert _is_order_exact(host, pattern, witness), name
 
 
 def test_in_family_examples():
