@@ -32,9 +32,6 @@ class Coloring:
                 f"colors must cover 0..{self.color_count - 1} exactly, got {sorted(used)}"
             )
 
-    def color_of(self, v: int) -> int:
-        return self.colors[v]
-
 
 def is_proper(g: Graph, c: Coloring) -> bool:
     """True iff no edge joins two vertices of equal color."""

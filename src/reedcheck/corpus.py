@@ -38,15 +38,19 @@ _AUDIT_CERT_CAP = 100
 def _canonical_level(n: int) -> tuple[Graph, ...]:
     if n == 0:
         return (Graph.empty(0),)
+    # the new neighborhoods in the order of the new column read as a number,
+    # vertex 0 in its most significant bit: each parent's children then come
+    # out in graph6 order, and the parents already are in it
+    masks = [sum(1 << i for i in range(n - 1) if (col >> (n - 2 - i)) & 1)
+             for col in range(1 << (n - 1))]
     out = []
     for parent in _canonical_level(n - 1):
         adj = parent.adj
-        for mask in range(1 << (n - 1)):
+        for mask in masks:
             rows = [adj[i] | (((mask >> i) & 1) << (n - 1)) for i in range(n - 1)]
             rows.append(mask)
             if is_min_labeled(rows, n):
                 out.append(Graph(n, rows))
-    out.sort(key=graph_to_graph6)
     return tuple(out)
 
 

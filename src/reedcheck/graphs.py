@@ -10,7 +10,10 @@ Canonical labeling is an exhaustive minimum-bitstring search (no external
 labeler), exact for any size but intended for graphs of at most ~10
 vertices.  The bitstring order matches graph6's column order, which is
 what makes orderly generation in :mod:`reedcheck.corpus` correct: the
-prefix of a minimal string is itself minimal.
+prefix of a minimal string is itself minimal.  One depth-first
+branch-and-bound over vertex orders, which skips a vertex while a lower
+twin of it is unplaced, serves the canonicity test, the canonical form
+and the isomorphism test.
 """
 
 from __future__ import annotations
@@ -95,9 +98,6 @@ class Graph:
 
     def has_edge(self, v: int, w: int) -> bool:
         return bool((self.adj[v] >> w) & 1)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(iter_bits(self.adj[v]))
 
     def edges(self) -> Iterable[tuple[int, int]]:
         for v in range(self.n):
@@ -238,90 +238,77 @@ def _column_bits(adj: Sequence[int], n: int) -> list[int]:
     return cols
 
 
+def _least_order(adj: Sequence[int], n: int, stop: bool) -> tuple[int, ...] | None:
+    """Vertex order with the least column string, by depth-first branch-and-bound.
+
+    ``bound`` holds the least columns found so far, starting from those of
+    the identity order, and a child is extended only while its column ties
+    the bound.  A smaller column either ends the search (``stop``: the
+    identity order is not least, so ``None`` is returned) or lowers the
+    bound at that depth and unsets the deeper entries.
+
+    Twin rule: v is skipped while some lower twin w (N(v) - w == N(w) - v)
+    is unplaced.  Swapping v and w is then an automorphism fixing the
+    placed prefix, so w's subtree holds the same column strings as v's.
+    """
+    twins = [0] * n
+    for v in range(n):
+        for w in range(v):
+            if adj[v] & ~(1 << w) == adj[w] & ~(1 << v):
+                twins[v] |= 1 << w
+    bound = _column_bits(adj, n)
+    unset = 1 << n  # above every column
+    order: list[int] = []
+    best: tuple[int, ...] = ()
+
+    def search(depth: int, used: int) -> bool:
+        nonlocal best
+        if depth == n:
+            best = tuple(order)
+            return True
+        for v in range(n):
+            if (used >> v) & 1 or twins[v] & ~used:
+                continue
+            b = 0
+            for p in order:
+                b = (b << 1) | ((adj[p] >> v) & 1)
+            if b > bound[depth]:
+                continue
+            if b < bound[depth]:
+                if stop:
+                    return False
+                bound[depth] = b
+                bound[depth + 1:] = [unset] * (n - depth - 1)
+            order.append(v)
+            ok = search(depth + 1, used | (1 << v))
+            order.pop()
+            if not ok:
+                return False
+        return True
+
+    return best if search(0, 0) else None
+
+
 def is_min_labeled(adj: Sequence[int], n: int) -> bool:
     """True iff no relabeling gives a lexicographically smaller column string.
 
     This is the rejection test behind orderly generation: a graph is kept
     iff its current labeling already is the canonical one.
     """
-    target = _column_bits(adj, n)
-    placed: list[int] = []
-
-    def dfs(depth: int, used: int) -> bool:
-        if depth == n:
-            return True
-        t = target[depth]
-        for v in range(n):
-            if (used >> v) & 1:
-                continue
-            b = 0
-            for p in placed:
-                b = (b << 1) | ((adj[p] >> v) & 1)
-            if b > t:
-                continue
-            if b < t:
-                return False
-            placed.append(v)
-            ok = dfs(depth + 1, used | (1 << v))
-            placed.pop()
-            if not ok:
-                return False
-        return True
-
-    return dfs(0, 0)
+    return _least_order(adj, n, stop=True) is not None
 
 
 def canonical_form(g: Graph) -> Graph:
     """Relabeling of ``g`` with the minimum column bitstring.
 
-    Exact for every size; the frontier search collapses equivalent partial
-    orderings, which keeps symmetric graphs tractable, but cost still grows
-    quickly past ~10 vertices.
+    Exact for every size.  The twin rule keeps graphs with large twin
+    classes (empty, complete, cocktail-party) fast, but other symmetric
+    graphs still cost a search over their tied orders, which grows quickly
+    past ~10 vertices.
     """
-    n = g.n
-    if n <= 1:
-        return g
     adj = g.adj
-    frontier: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    for _ in range(n):
-        best = None
-        extended: list[tuple[tuple[int, ...], int]] = []
-        for placed, used in frontier:
-            for v in range(n):
-                if (used >> v) & 1:
-                    continue
-                b = 0
-                for p in placed:
-                    b = (b << 1) | ((adj[p] >> v) & 1)
-                if best is None or b < best:
-                    best = b
-                    extended = [(placed + (v,), used | (1 << v))]
-                elif b == best:
-                    extended.append((placed + (v,), used | (1 << v)))
-        # orderings with identical adjacency profiles to the unplaced rest
-        # have identical futures; keep one representative of each
-        seen = set()
-        frontier = []
-        for placed, used in extended:
-            profile = []
-            for w in range(n):
-                if (used >> w) & 1:
-                    continue
-                b = 0
-                for p in placed:
-                    b = (b << 1) | ((adj[p] >> w) & 1)
-                profile.append(b)
-            key = (used, tuple(profile))
-            if key not in seen:
-                seen.add(key)
-                frontier.append((placed, used))
-    perm = frontier[0][0]
-    rows = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and (adj[perm[i]] >> perm[j]) & 1:
-                rows[i] |= 1 << j
-    return Graph(n, rows)
+    perm = _least_order(adj, g.n, stop=False)
+    return Graph(g.n, [sum(1 << j for j, w in enumerate(perm) if (adj[v] >> w) & 1) for v in perm])
 
 
 def canonical_code(g: Graph) -> str:
@@ -334,34 +321,5 @@ def canonical_code(g: Graph) -> str:
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:
-    """Exact isomorphism test by backtracking over degree-compatible maps."""
-    if a.n != b.n or a.m != b.m:
-        return False
-    n = a.n
-    dega = [a.degree(v) for v in range(n)]
-    degb = [b.degree(v) for v in range(n)]
-    if sorted(dega) != sorted(degb):
-        return False
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(v: int) -> bool:
-        if v == n:
-            return True
-        for w in range(n):
-            if used[w] or dega[v] != degb[w]:
-                continue
-            ok = True
-            for u in range(v):
-                if ((a.adj[v] >> u) & 1) != ((b.adj[w] >> image[u]) & 1):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                if extend(v + 1):
-                    return True
-                used[w] = False
-        return False
-
-    return extend(0)
+    """Exact isomorphism test: equal canonical forms."""
+    return a.n == b.n and a.m == b.m and canonical_form(a) == canonical_form(b)

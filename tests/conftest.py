@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 import reedcheck as rc
+
+# the same examples on every run, and no example database on disk
+settings.register_profile("reedcheck", derandomize=True, database=None)
+settings.load_profile("reedcheck")
 
 EXPECTED_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
 

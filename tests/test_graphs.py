@@ -2,6 +2,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reedcheck as rc
 from reedcheck.graphs import Graph, Graph6Error
@@ -124,6 +126,13 @@ def _permuted(g: Graph, perm):
     return Graph.from_edges(g.n, [(perm[v], perm[w]) for v, w in g.edges()])
 
 
+def _to_networkx(g: Graph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
 def test_canonical_code_on_relabelings():
     c5 = Graph.cycle(5)
     code = rc.canonical_code(c5)
@@ -165,3 +174,80 @@ def test_is_isomorphic_matches_code_equality(graphs_by_n):
         for i, a in enumerate(level):
             for j, b in enumerate(level):
                 assert rc.is_isomorphic(a, b) == (codes[i] == codes[j])
+
+
+# independent oracles for the canonical search ---------------------------------
+
+@st.composite
+def _random_graphs(draw, n_min, n_max):
+    n = draw(st.integers(n_min, n_max))
+    density = draw(st.floats(0.05, 0.95))
+    pairs = [(v, w) for v in range(n) for w in range(v + 1, n)]
+    coins = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, coin in zip(pairs, coins) if coin < density])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_graphs(9, 10), st.randoms(use_true_random=False))
+def test_canonical_code_is_invariant_at_9_and_10(g, rnd):
+    code = rc.canonical_code(g)
+    for _ in range(3):
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        assert rc.canonical_code(_permuted(g, perm)) == code
+
+
+@settings(max_examples=100, deadline=None)
+@given(_random_graphs(1, 9), st.randoms(use_true_random=False), st.booleans())
+def test_is_isomorphic_agrees_with_networkx(g, rnd, move_an_edge):
+    # b is a relabeled copy of g, or of g with one edge moved to a non-edge
+    edges = list(g.edges())
+    non_edges = [(v, w) for v in range(g.n) for w in range(v + 1, g.n) if not g.has_edge(v, w)]
+    if move_an_edge and edges and non_edges:
+        edges.remove(rnd.choice(edges))
+        edges.append(rnd.choice(non_edges))
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    b = _permuted(Graph.from_edges(g.n, edges), perm)
+    expected = nx.is_isomorphic(_to_networkx(g), _to_networkx(b))
+    assert rc.is_isomorphic(g, b) == expected
+    assert (rc.canonical_code(g) == rc.canonical_code(b)) == expected
+
+
+def _symmetric_graphs_on_10():
+    matching = Graph.from_edges(10, [(2 * i, 2 * i + 1) for i in range(5)])
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)]
+    return {
+        "empty": Graph.empty(10),
+        "complete": Graph.complete(10),
+        "5K2": matching,
+        "cocktail-party": rc.complement(matching),
+        "Petersen": Graph.from_edges(10, outer + inner + spokes),
+        "C10": Graph.cycle(10),
+    }
+
+
+@pytest.mark.parametrize("name", list(_symmetric_graphs_on_10()))
+def test_symmetric_graphs_on_10_keep_one_code(name):
+    g = _symmetric_graphs_on_10()[name]
+    assert nx.is_isomorphic(_to_networkx(g), _to_networkx(rc.canonical_form(g)))
+    code = rc.canonical_code(g)
+    rng = random.Random(name)
+    for _ in range(5):
+        perm = list(range(10))
+        rng.shuffle(perm)
+        assert rc.canonical_code(_permuted(g, perm)) == code
+
+
+def test_enumerated_levels_are_pairwise_non_isomorphic(graphs_by_n):
+    # isomorphic graphs share a degree sequence, so only graphs within one
+    # degree-sequence bucket need networkx's exact test
+    for n in range(8):
+        buckets: dict[tuple[int, ...], list[nx.Graph]] = {}
+        for g in graphs_by_n[n]:
+            h = _to_networkx(g)
+            bucket = buckets.setdefault(tuple(sorted(g.degree(v) for v in range(n))), [])
+            assert not any(nx.is_isomorphic(h, other) for other in bucket), rc.graph_to_graph6(g)
+            bucket.append(h)
