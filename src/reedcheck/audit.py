@@ -92,7 +92,7 @@ def _context(g: Graph) -> _Ctx:
     omega = clique_number(g)
     return _Ctx(
         graph6=graph_to_graph6(g),
-        chi=chromatic_number(g),
+        chi=chromatic_number(g, omega=omega),
         omega=omega,
         bound=reed_bound(max_degree(g), omega),
     )

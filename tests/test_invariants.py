@@ -1,9 +1,19 @@
 from itertools import combinations, product
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reedcheck as rc
 from reedcheck.graphs import Graph
+
+
+def _to_networkx(g: Graph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
 
 
 # blunt exhaustive oracles, deliberately sharing no logic with the solvers
@@ -26,6 +36,35 @@ def oracle_chromatic(g: Graph) -> int:
             if all(assignment[v] != assignment[w] for v, w in edges):
                 return k
     raise AssertionError("unreachable")
+
+
+def oracle_backtracking_chromatic(g: Graph) -> int:
+    """Plain vertex-order backtracking upward from networkx's clique size."""
+    n, adj = g.n, g.adj
+    if n == 0:
+        return 0
+
+    def colorable(k: int) -> bool:
+        classes = [0] * k
+
+        def assign(v: int, used: int) -> bool:
+            if v == n:
+                return True
+            for c in range(min(used + 1, k)):
+                if classes[c] & adj[v]:
+                    continue
+                classes[c] |= 1 << v
+                if assign(v + 1, max(used, c + 1)):
+                    return True
+                classes[c] &= ~(1 << v)
+            return False
+
+        return assign(0, 0)
+
+    k = max(len(c) for c in nx.find_cliques(_to_networkx(g)))
+    while not colorable(k):
+        k += 1
+    return k
 
 
 def oracle_independence(g: Graph) -> int:
@@ -118,3 +157,36 @@ def test_omega_at_most_chi_up_to_7(graphs_by_n):
 def test_bundle_sanity_guard():
     with pytest.raises(ValueError):
         rc.InvariantBundle(n=3, m=0, delta=0, omega=2, chi=1, alpha=3, reed_bound=2, slack=1)
+
+
+# properties on random G(n, p) past the exhaustive range ---------------------
+
+@st.composite
+def _gnp(draw, n_min, n_max):
+    n = draw(st.integers(n_min, n_max))
+    p = draw(st.floats(0.2, 0.8))
+    rnd = draw(st.randoms(use_true_random=False))
+    return Graph.from_edges(n, [e for e in combinations(range(n), 2) if rnd.random() < p])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gnp(9, 18))
+def test_omega_and_alpha_match_networkx_cliques(g):
+    h = _to_networkx(g)
+    assert rc.clique_number(g) == max(len(c) for c in nx.find_cliques(h))
+    assert rc.independence_number(g) == max(len(c) for c in nx.find_cliques(nx.complement(h)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gnp(9, 18))
+def test_chi_matches_backtracking_oracle(g):
+    assert rc.chromatic_number(g) == oracle_backtracking_chromatic(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gnp(9, 18))
+def test_chi_between_omega_and_greedy_dsatur(g):
+    greedy = nx.greedy_color(_to_networkx(g), strategy="DSATUR")
+    chi = rc.chromatic_number(g)
+    assert rc.clique_number(g) <= chi <= len(set(greedy.values()))
+    assert rc.chromatic_number(g, omega=rc.clique_number(g)) == chi
