@@ -23,7 +23,7 @@ from .coloring import (
     kempe_swap,
     unique_color_neighbors,
 )
-from .corpus import SweepReport, enumerate_graphs, read_graph6_stream, sweep, sweep_stream
+from .corpus import Graph6Stream, SweepReport, enumerate_graphs, sweep, sweep_stream
 from .graphs import (
     Graph,
     Graph6Error,

@@ -17,6 +17,13 @@ at most once, and each statement is a pure function of that record.
 The statements live in one ordered registry, through which whole-graph
 audits, single checks and replays dispatch.
 
+A whole-graph audit is handed the graph's invariant bundle, which a
+sweep has already computed, and reads omega, chi and the Reed bound
+from it; chi is not solved again, not even by the coloring policy.  The
+policy audits every canonical optimal coloring (up to a cap) for
+n <= 7, and the first-fit colorings from every vertex rotation for
+8 <= n <= 10.  A single ``check`` builds the bundle itself.
+
 Violated findings on hosts containing a forbidden pattern are expected
 and kept: they demonstrate that the forbidden subgraphs are doing the
 work.  Certificates serialize as JSON objects
@@ -45,7 +52,7 @@ from .coloring import (
     unique_color_neighbors,
 )
 from .graphs import Graph, graph_from_graph6, graph_to_graph6, iter_bits
-from .invariants import chromatic_number, clique_number, max_degree, reed_bound
+from .invariants import InvariantBundle, invariant_bundle
 
 STATUSES = ("holds", "violated", "hypotheses-unmet", "gate-failed")
 
@@ -76,26 +83,6 @@ class AuditFinding:
             "hypothesis_failed": self.hypothesis_failed,
             "info": self.info,
         }
-
-
-@dataclass(frozen=True)
-class _Ctx:
-    """Per-graph constants shared by all checks of one audit pass."""
-
-    graph6: str
-    chi: int
-    omega: int
-    bound: int
-
-
-def _context(g: Graph) -> _Ctx:
-    omega = clique_number(g)
-    return _Ctx(
-        graph6=graph_to_graph6(g),
-        chi=chromatic_number(g, omega=omega),
-        omega=omega,
-        bound=reed_bound(max_degree(g), omega),
-    )
 
 
 def _colored_neighbors(g: Graph, c: Coloring, v: int, color: int) -> tuple[int, ...]:
@@ -133,9 +120,10 @@ class _Instance:
     """Everything the statements read about one (graph, coloring, apex)."""
 
     g: Graph
+    graph6: str
+    bundle: InvariantBundle
     c: Coloring
     u: int
-    ctx: _Ctx
     d: UniqueColorDecomposition
     seq: SequenceDecomposition  # level 0 is (T, T')
     deg_u: int
@@ -160,14 +148,14 @@ class _Instance:
             "colors_cover_R": all(colors[r] in colors_in_members for r in self.d.R),
             "size": len(members),
             "R_size": len(self.d.R),
-            "omega": self.ctx.omega,
+            "omega": self.bundle.omega,
         }
 
     def finding(self, statement: str, status: str, **fields) -> AuditFinding:
-        return AuditFinding(statement, status, self.ctx.graph6, self.u, self.c.colors, **fields)
+        return AuditFinding(statement, status, self.graph6, self.u, self.c.colors, **fields)
 
 
-def _instance(g: Graph, c: Coloring, u: int, ctx: _Ctx) -> _Instance:
+def _instance(g: Graph, graph6: str, bundle: InvariantBundle, c: Coloring, u: int) -> _Instance:
     d = unique_color_neighbors(g, c, u)
     r = len(d.R)
     deg_u = g.degree(u)
@@ -184,14 +172,15 @@ def _instance(g: Graph, c: Coloring, u: int, ctx: _Ctx) -> _Instance:
     }
     return _Instance(
         g=g,
+        graph6=graph6,
+        bundle=bundle,
         c=c,
         u=u,
-        ctx=ctx,
         d=d,
         seq=build_sequence(g, c, d),
         deg_u=deg_u,
-        degree_ok=deg_u >= r + 2 * (ctx.bound - r),
-        size_ok=r >= ctx.omega + 1,
+        degree_ok=deg_u >= r + 2 * (bundle.reed_bound - r),
+        size_ok=r >= bundle.omega + 1,
         pairs=pairs,
     )
 
@@ -207,8 +196,8 @@ def _gate(x: _Instance) -> list[AuditFinding]:
         info={
             "R": sorted(x.d.R),
             "deg_u": x.deg_u,
-            "reed_bound": x.ctx.bound,
-            "omega": x.ctx.omega,
+            "reed_bound": x.bundle.reed_bound,
+            "omega": x.bundle.omega,
             "degree_condition": x.degree_ok,
             "size_condition": x.size_ok,
         },
@@ -345,27 +334,29 @@ def check(statement: str, g: Graph, c: Coloring, u: int) -> list[AuditFinding]:
         raise ValueError(f"unknown statement {statement!r}")
     if not is_proper(g, c):
         raise ValueError("coloring is not proper")
-    ctx = _context(g)
+    bundle = invariant_bundle(g)
     needs_optimal, run = REGISTRY[statement]
-    if needs_optimal and c.color_count != ctx.chi:
+    if needs_optimal and c.color_count != bundle.chi:
         raise ValueError(
-            f"coloring uses {c.color_count} colors but chi = {ctx.chi}; "
+            f"coloring uses {c.color_count} colors but chi = {bundle.chi}; "
             f"statement {statement} needs an optimal coloring"
         )
-    return run(_instance(g, c, u, ctx))
+    return run(_instance(g, graph_to_graph6(g), bundle, c, u))
 
 
 # ---------------------------------------------------------------------------
 # whole-graph audit
 # ---------------------------------------------------------------------------
 
-def audit_colorings(g: Graph, cap: int = DEFAULT_COLORING_CAP) -> tuple[tuple[Coloring, ...], bool]:
+def audit_colorings(g: Graph, chi: int,
+                    cap: int = DEFAULT_COLORING_CAP) -> tuple[tuple[Coloring, ...], bool]:
     """The audit coloring policy: all canonical optimal colorings (capped)
-    for n <= 7, first-fit colorings from every vertex rotation above that."""
+    for n <= 7, first-fit colorings from every vertex rotation above that.
+    ``chi`` must be the chromatic number of ``g``."""
     if cap < 1:
         raise ValueError(f"coloring cap must be at least 1, got {cap}")
     if g.n <= 7:
-        enum = enumerate_optimal_colorings(g, cap=cap)
+        enum = enumerate_optimal_colorings(g, cap=cap, chi=chi)
         return enum.colorings, enum.truncated
     seen = []
     for shift in range(g.n):
@@ -401,26 +392,31 @@ class AuditReport:
         }
 
 
-def audit_graph(g: Graph, coloring_budget: int = DEFAULT_COLORING_CAP) -> AuditReport:
+def audit_graph(g: Graph, bundle: InvariantBundle,
+                coloring_budget: int = DEFAULT_COLORING_CAP) -> AuditReport:
     """Run every registered statement over all vertices and the coloring policy.
 
-    Statements that need an optimal coloring (I, S1, S4, CLAIM, FINAL) only
-    run on colorings that achieve chi; S2 and S3 run on every proper policy
-    coloring.  Within one instance, findings follow the registry order.
+    ``bundle`` is ``invariant_bundle(g)``; omega, chi and the Reed bound
+    are read from it.  Statements that need an optimal coloring (I, S1,
+    S4, CLAIM, FINAL) only run on colorings that achieve chi; S2 and S3
+    run on every proper policy coloring.  Within one instance, findings
+    follow the registry order.
     """
+    graph6 = graph_to_graph6(g)
     if g.n > 10:
-        raise ValueError(f"audit is limited to 10 vertices, got n={g.n} in {graph_to_graph6(g)}")
-    ctx = _context(g)
-    colorings, truncated = audit_colorings(g, cap=coloring_budget)
+        raise ValueError(f"audit is limited to 10 vertices, got n={g.n} in {graph6}")
+    if (bundle.n, bundle.m) != (g.n, g.m):
+        raise ValueError(f"invariant bundle with n={bundle.n}, m={bundle.m} given for {graph6}")
+    colorings, truncated = audit_colorings(g, bundle.chi, cap=coloring_budget)
     counters = {s: {st: 0 for st in STATUSES} for s in STATEMENTS}
     violations: list[AuditFinding] = []
     gate_full_pass = 0
 
     for c in colorings:
-        optimal = c.color_count == ctx.chi
+        optimal = c.color_count == bundle.chi
         all_gates_hold = optimal and g.n > 0
         for u in range(g.n):
-            instance = _instance(g, c, u, ctx)
+            instance = _instance(g, graph6, bundle, c, u)
             all_gates_hold = all_gates_hold and instance.gate_holds
             for needs_optimal, run in REGISTRY.values():
                 if needs_optimal and not optimal:
@@ -433,8 +429,8 @@ def audit_graph(g: Graph, coloring_budget: int = DEFAULT_COLORING_CAP) -> AuditR
             gate_full_pass += 1
 
     return AuditReport(
-        graph6=ctx.graph6,
-        chi=ctx.chi,
+        graph6=graph6,
+        chi=bundle.chi,
         colorings_used=len(colorings),
         truncated=truncated,
         counters=counters,

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .audit import audit_graph
-from .corpus import MAX_ENUMERATION_N, read_graph6_stream, sweep, sweep_stream
+from .corpus import MAX_ENUMERATION_N, Graph6Stream, sweep, sweep_stream
 from .graphs import Graph6Error, graph_from_graph6, graph_to_graph6
 from .invariants import invariant_bundle
 from .patterns import FAMILIES, FamilySpec, builtin_pattern, catalog_names, in_family
@@ -32,13 +31,6 @@ class UsageError(Exception):
 # latin-1 decodes every byte, so a non-ASCII line reaches the graph6
 # decoder and is rejected (or skipped under --lenient) as a malformed line
 _SOURCE_ENCODING = "latin-1"
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("REED_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _add_io_flags(p: argparse.ArgumentParser, with_graphs: bool = True) -> None:
@@ -95,7 +87,7 @@ def _input_graphs(args) -> tuple[list[tuple[str, object]], int]:
     if args.source:
         try:
             with open(args.source, encoding=_SOURCE_ENCODING) as handle:
-                stream = read_graph6_stream(handle, strict=args.strict)
+                stream = Graph6Stream(handle, strict=args.strict)
                 for _, g in stream:
                     labeled.append((graph_to_graph6(g), g))
                 skipped += len(stream.skipped)
@@ -213,7 +205,7 @@ def cmd_audit(args) -> int:
     member_violations = 0
     for g6, g in labeled:
         member = in_family(g, family).member
-        report = audit_graph(g, coloring_budget=args.cap)
+        report = audit_graph(g, invariant_bundle(g), coloring_budget=args.cap)
         if member:
             member_violations += len(report.violations)
         row = {"member": member, "family": family.name, **report.to_json()}
@@ -267,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None,
                    help=f"enumerate all graphs up to this size (default 7, max {MAX_ENUMERATION_N})")
     p.add_argument("--audit", action="store_true", help="run statement audits on members")
-    p.add_argument("--workers", type=int, default=_default_workers(),
-                   help="worker processes (default $REED_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes (default 1)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("audit", help="statement-by-statement audit per graph")

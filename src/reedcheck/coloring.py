@@ -78,13 +78,18 @@ class OptimalColorings:
     chi: int
 
 
-def enumerate_optimal_colorings(g: Graph, cap: int | None = None) -> OptimalColorings:
+def enumerate_optimal_colorings(g: Graph, cap: int | None = None, *,
+                                chi: int | None = None) -> OptimalColorings:
     """All proper colorings with exactly chi(g) colors, one per color-permutation
     class (canonical: color classes ordered by least vertex), in lexicographic
-    order of the color vector."""
+    order of the color vector.
+
+    ``chi``, when given, must be ``chromatic_number(g)``; it saves
+    recomputing it.
+    """
     if g.n > 10:
         raise ValueError("optimal-coloring enumeration is limited to 10 vertices")
-    k = chromatic_number(g)
+    k = chromatic_number(g) if chi is None else chi
     if g.n == 0:
         return OptimalColorings((Coloring((), 0),), False, 0)
     adj = g.adj

@@ -8,11 +8,14 @@ column order, the first n-1 vertices of a canonical labeling always form
 a canonical labeling themselves, so each isomorphism class is produced
 exactly once and the kept graphs double as their own canonical codes.
 
-Sweeps filter a corpus through a hereditary family, compute exact
-invariant bundles for the members, flag any Reed-bound violation with a
-full certificate, and optionally audit each member.  Work is partitioned
-into contiguous chunks of the canonical stream and merged in chunk
-order, so reports are byte-identical for any worker count.
+Sweeps filter a corpus through a hereditary family, compute one exact
+invariant bundle per member, flag any Reed-bound violation with a full
+certificate, and optionally audit each member against its bundle.  Work
+is partitioned into contiguous chunks of the stream.  One fold adds
+totals up: each member's into its chunk's, and the chunks' into the
+sweep's in chunk order.  The capped lists (20 tight exemplars, 100
+audit certificates) therefore keep the first entries of the stream, and
+reports are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .audit import DEFAULT_COLORING_CAP, STATEMENTS, STATUSES, audit_graph
+from .audit import DEFAULT_COLORING_CAP, STATEMENTS, STATUSES, AuditReport, audit_graph
 from .graphs import Graph, Graph6Error, graph_from_graph6, graph_to_graph6, is_min_labeled
-from .invariants import invariant_bundle
+from .invariants import InvariantBundle, invariant_bundle
 from .patterns import FamilySpec, in_family
 
 MAX_ENUMERATION_N = 9
@@ -91,10 +94,6 @@ class Graph6Stream:
                 self.skipped.append((lineno, str(exc)))
 
 
-def read_graph6_stream(lines, strict: bool = True) -> Graph6Stream:
-    return Graph6Stream(lines, strict=strict)
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
@@ -132,105 +131,98 @@ class SweepReport:
         }
 
 
-def _empty_audit_totals() -> dict:
+def _new_part(audit: bool) -> dict:
+    """Sweep totals over no graphs."""
     return {
-        "instances": {s: {st: 0 for st in STATUSES} for s in STATEMENTS},
-        "violated_certificates": [],
-        "violated_total": 0,
-        "gate_full_pass_members": [],
-        "colorings_truncated": 0,
+        "examined": 0,
+        "members": 0,
+        "per_n": {},
+        "violations": [],
+        "tight_count": 0,
+        "tight": [],
+        "audit": {
+            "instances": {s: dict.fromkeys(STATUSES, 0) for s in STATEMENTS},
+            "violated_certificates": [],
+            "violated_total": 0,
+            "gate_full_pass_members": [],
+            "colorings_truncated": 0,
+        } if audit else None,
     }
+
+
+def _per_n_row(part: dict, n: int) -> dict:
+    return part["per_n"].setdefault(n, {"examined": 0, "members": 0, "tight": 0})
+
+
+def _member_part(g: Graph, bundle: InvariantBundle, report: AuditReport | None) -> dict:
+    """Sweep totals over the single member ``g``."""
+    tight = int(bundle.slack == 0)
+    # encode only the graphs the report prints; an audit has encoded its graph already
+    g6 = report.graph6 if report else (graph_to_graph6(g) if bundle.slack <= 0 else None)
+    part = {
+        "examined": 1,
+        "members": 1,
+        "per_n": {g.n: {"examined": 1, "members": 1, "tight": tight}},
+        "violations": [{"graph6": g6, **bundle.to_json()}] if bundle.slack < 0 else [],
+        "tight_count": tight,
+        "tight": [g6] if tight else [],
+        "audit": None,
+    }
+    if report:
+        part["audit"] = {
+            "instances": report.counters,
+            "violated_certificates": [f.to_json() for f in report.violations[:_AUDIT_CERT_CAP]],
+            "violated_total": len(report.violations),
+            "gate_full_pass_members": [g6] if report.gate_full_pass_colorings else [],
+            "colorings_truncated": int(report.truncated),
+        }
+    return part
+
+
+def _fold(total: dict, part: dict) -> None:
+    """Add ``part`` into ``total``.  Parts are folded in stream order, so the
+    capped lists keep the first exemplars and certificates of the stream."""
+    total["examined"] += part["examined"]
+    total["members"] += part["members"]
+    for n, row in part["per_n"].items():
+        dst = _per_n_row(total, n)
+        for key in dst:
+            dst[key] += row[key]
+    total["violations"].extend(part["violations"])
+    total["tight_count"] += part["tight_count"]
+    total["tight"].extend(part["tight"][:_EXEMPLAR_CAP - len(total["tight"])])
+    src, dst = part["audit"], total["audit"]
+    if src is None:
+        return
+    for s in STATEMENTS:
+        for st in STATUSES:
+            dst["instances"][s][st] += src["instances"][s][st]
+    dst["violated_total"] += src["violated_total"]
+    certs = dst["violated_certificates"]
+    certs.extend(src["violated_certificates"][:_AUDIT_CERT_CAP - len(certs)])
+    dst["gate_full_pass_members"].extend(src["gate_full_pass_members"])
+    dst["colorings_truncated"] += src["colorings_truncated"]
 
 
 def _sweep_chunk(args) -> dict:
     family, graphs, audit, coloring_cap = args
-    part = {
-        "examined": 0,
-        "members": 0,
-        "per_n": {},
-        "violations": [],
-        "tight_count": 0,
-        "tight": [],
-        "audit": _empty_audit_totals() if audit else None,
-    }
+    part = _new_part(audit)
     for g in graphs:
-        row = part["per_n"].setdefault(g.n, {"examined": 0, "members": 0, "tight": 0})
-        part["examined"] += 1
-        row["examined"] += 1
-        if not in_family(g, family).member:
-            continue
-        part["members"] += 1
-        row["members"] += 1
-        bundle = invariant_bundle(g)
-        report = audit_graph(g, coloring_budget=coloring_cap) if audit else None
-        # encode only the graphs the report prints; an audit has encoded its graph already
-        g6 = report.graph6 if report else None
-        if bundle.slack < 0:
-            part["violations"].append({"graph6": g6 or graph_to_graph6(g), **bundle.to_json()})
-        if bundle.slack == 0:
-            part["tight_count"] += 1
-            row["tight"] += 1
-            if len(part["tight"]) < _EXEMPLAR_CAP:
-                part["tight"].append(g6 or graph_to_graph6(g))
-        if audit:
-            totals = part["audit"]
-            for s in STATEMENTS:
-                for st in STATUSES:
-                    totals["instances"][s][st] += report.counters[s][st]
-            totals["violated_total"] += len(report.violations)
-            for f in report.violations:
-                if len(totals["violated_certificates"]) < _AUDIT_CERT_CAP:
-                    totals["violated_certificates"].append(f.to_json())
-            if report.gate_full_pass_colorings > 0:
-                totals["gate_full_pass_members"].append(report.graph6)
-            if report.truncated:
-                totals["colorings_truncated"] += 1
+        if in_family(g, family).member:
+            bundle = invariant_bundle(g)
+            report = audit_graph(g, bundle, coloring_budget=coloring_cap) if audit else None
+            _fold(part, _member_part(g, bundle, report))
+        else:
+            # most graphs are not members: count them without building a part
+            part["examined"] += 1
+            _per_n_row(part, g.n)["examined"] += 1
     return part
-
-
-def _merge_parts(parts: list[dict]) -> dict:
-    total = {
-        "examined": 0,
-        "members": 0,
-        "per_n": {},
-        "violations": [],
-        "tight_count": 0,
-        "tight": [],
-        "audit": None,
-    }
-    audits = [p["audit"] for p in parts if p["audit"] is not None]
-    if audits:
-        total["audit"] = _empty_audit_totals()
-    for part in parts:
-        total["examined"] += part["examined"]
-        total["members"] += part["members"]
-        total["violations"].extend(part["violations"])
-        total["tight_count"] += part["tight_count"]
-        for g6 in part["tight"]:
-            if len(total["tight"]) < _EXEMPLAR_CAP:
-                total["tight"].append(g6)
-        for n, row in part["per_n"].items():
-            dst = total["per_n"].setdefault(n, {"examined": 0, "members": 0, "tight": 0})
-            for key in dst:
-                dst[key] += row[key]
-        if part["audit"] is not None:
-            src, dst = part["audit"], total["audit"]
-            for s in STATEMENTS:
-                for st in STATUSES:
-                    dst["instances"][s][st] += src["instances"][s][st]
-            dst["violated_total"] += src["violated_total"]
-            for cert in src["violated_certificates"]:
-                if len(dst["violated_certificates"]) < _AUDIT_CERT_CAP:
-                    dst["violated_certificates"].append(cert)
-            dst["gate_full_pass_members"].extend(src["gate_full_pass_members"])
-            dst["colorings_truncated"] += src["colorings_truncated"]
-    return total
 
 
 def _run_chunks(family: FamilySpec, graphs: list[Graph], audit: bool,
                 workers: int, coloring_cap: int) -> dict:
     if workers <= 1 or len(graphs) < 2 * workers:
-        return _merge_parts([_sweep_chunk((family, graphs, audit, coloring_cap))])
+        return _sweep_chunk((family, graphs, audit, coloring_cap))
     chunk_size = max(1, (len(graphs) + workers * 4 - 1) // (workers * 4))
     chunks = [
         (family, graphs[i:i + chunk_size], audit, coloring_cap)
@@ -238,7 +230,10 @@ def _run_chunks(family: FamilySpec, graphs: list[Graph], audit: bool,
     ]
     with multiprocessing.Pool(min(workers, os.cpu_count() or 1, len(chunks))) as pool:
         parts = pool.map(_sweep_chunk, chunks)
-    return _merge_parts(parts)
+    total = _new_part(audit)
+    for part in parts:
+        _fold(total, part)
+    return total
 
 
 def sweep(family: FamilySpec, n_max: int, *, audit: bool = False, workers: int = 1,
@@ -257,7 +252,7 @@ def sweep_stream(family: FamilySpec, lines, *, strict: bool = True, audit: bool 
                  workers: int = 1, coloring_cap: int = DEFAULT_COLORING_CAP) -> SweepReport:
     """Same verification over an external graph6 stream (one graph per line)."""
     start = time.monotonic()
-    stream = read_graph6_stream(lines, strict=strict)
+    stream = Graph6Stream(lines, strict=strict)
     graphs = [g for _, g in stream]
     total = _run_chunks(family, graphs, audit, workers, coloring_cap)
     return _finish_report(family, None, total, skipped=len(stream.skipped), start=start)

@@ -157,7 +157,8 @@ def test_c06_kempe_properties(graphs_by_n):
 
 def test_c07_statement_2_3_audit(audited_theorem_sweep):
     inst = audited_theorem_sweep.audit["instances"]
-    c5_report = rc.audit_graph(Graph.cycle(5))
+    c5 = Graph.cycle(5)
+    c5_report = rc.audit_graph(c5, rc.invariant_bundle(c5))
     ok = (
         inst["S2"]["violated"] == 0
         and inst["S3"]["violated"] == 0

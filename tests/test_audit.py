@@ -120,7 +120,7 @@ def test_final_requires_gate_and_completeness():
 
 
 def test_audit_graph_c5():
-    report = rc.audit_graph(C5)
+    report = rc.audit_graph(C5, rc.invariant_bundle(C5))
     assert report.chi == 3
     assert report.colorings_used == 5
     assert report.counters["S2"]["holds"] >= 1
@@ -131,7 +131,8 @@ def test_audit_graph_c5():
 
 
 def test_audit_graph_k4_all_vacuous():
-    report = rc.audit_graph(Graph.complete(4))
+    k4 = Graph.complete(4)
+    report = rc.audit_graph(k4, rc.invariant_bundle(k4))
     assert report.violations == ()
     for statement in ("S1", "S4", "CLAIM", "FINAL"):
         assert report.counters[statement]["hypotheses-unmet"] == sum(
@@ -141,9 +142,14 @@ def test_audit_graph_k4_all_vacuous():
     assert sum(report.counters["S3"].values()) == 0
 
 
+def test_audit_graph_rejects_a_bundle_of_another_graph():
+    with pytest.raises(ValueError, match="invariant bundle"):
+        rc.audit_graph(C5, rc.invariant_bundle(Graph.complete(5)))
+
+
 def test_audit_counters_sum_to_instances(graphs_by_n):
     for g in list(graphs_by_n[5])[:20]:
-        report = rc.audit_graph(g)
+        report = rc.audit_graph(g, rc.invariant_bundle(g))
         instances = report.colorings_used * g.n
         for statement in ("I", "S1", "S4", "CLAIM", "FINAL"):
             assert sum(report.counters[statement].values()) == instances
@@ -195,7 +201,7 @@ def test_replay_is_deterministic_on_audit_violations(graphs_by_n):
     for g in graphs_by_n[6]:
         if rc.in_family(g, fam).member:
             continue
-        report = rc.audit_graph(g, coloring_budget=20)
+        report = rc.audit_graph(g, rc.invariant_bundle(g), coloring_budget=20)
         for f in report.violations[:2]:
             again = replay_finding(f.to_json())
             assert again.status == "violated"
@@ -211,7 +217,7 @@ def test_every_finding_replays_to_itself(graphs_by_n):
     for n in range(6):
         for g in graphs_by_n[n]:
             chi = rc.chromatic_number(g)
-            for c in audit_colorings(g)[0]:
+            for c in audit_colorings(g, chi)[0]:
                 for u in range(n):
                     for statement, spec in REGISTRY.items():
                         if spec.needs_optimal and c.color_count != chi:

@@ -135,13 +135,6 @@ def test_audit_size_limit_names_the_graph(capsys, tmp_path):
     assert "J~~~~~~~~~_" in err
 
 
-def test_workers_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("REED_WORKERS", "2")
-    code, out, _ = run(capsys, "sweep", "--n-max", "4")
-    assert code == 0
-    assert ndjson(out)[0]["examined"] == 19
-
-
 def test_audit_command(capsys):
     code, out, _ = run(capsys, "audit", C5_G6)
     assert code == 0

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reedcheck as rc
 from reedcheck.coloring import Coloring, canonicalize_coloring
@@ -118,6 +122,27 @@ def test_kempe_swap_properness_and_involution(graphs_by_n):
                         swapped = rc.kempe_swap(g, c, comp, pair)
                         assert rc.is_proper(g, swapped)
                         assert rc.kempe_swap(g, swapped, comp, pair) == c
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(9, 12), st.floats(0.1, 0.9), st.integers(0, 2**32 - 1))
+def test_kempe_swap_involution_on_random_first_fit_colorings(n, p, seed):
+    rnd = random.Random(seed)
+    g = Graph.from_edges(n, [(v, w) for v in range(n) for w in range(v + 1, n)
+                             if rnd.random() < p])
+    order = list(range(n))
+    rnd.shuffle(order)
+    c = rc.greedy_coloring(g, order)
+    for v in range(n):
+        for other in range(c.color_count):
+            if other == c.colors[v]:
+                continue
+            comp = rc.kempe_component(g, c, v, other)
+            pair = (c.colors[v], other)
+            swapped = rc.kempe_swap(g, c, comp, pair)
+            assert rc.is_proper(g, swapped)
+            assert all(swapped.colors[w] == c.colors[w] for w in range(n) if w not in comp)
+            assert rc.kempe_swap(g, swapped, comp, pair) == c
 
 
 def test_find_bicolor_path4_examples():

@@ -1,10 +1,12 @@
 import json
+import sys
 
 import pytest
 
 import reedcheck as rc
 from reedcheck import corpus
-from reedcheck.corpus import read_graph6_stream
+from reedcheck.audit import DEFAULT_COLORING_CAP
+from reedcheck.corpus import Graph6Stream
 from reedcheck.graphs import Graph6Error, graph_to_graph6
 
 
@@ -28,18 +30,18 @@ def test_enumeration_rejects_large_n():
 
 def test_stream_reads_valid_lines():
     lines = ["A_\n", "Bw\n", "DUW\n"]
-    got = list(read_graph6_stream(lines))
+    got = list(Graph6Stream(lines))
     assert [lineno for lineno, _ in got] == [1, 2, 3]
     assert got[0][1] == rc.graph_from_graph6("A_")
 
 
 def test_stream_skips_headers():
     lines = [">>graph6<<\n", "A_\n"]
-    assert len(list(read_graph6_stream(lines))) == 1
+    assert len(list(Graph6Stream(lines))) == 1
 
 
 def test_stream_lenient_skips_and_counts():
-    stream = read_graph6_stream(["A_\n", "!!bad\n", "Bw\n"], strict=False)
+    stream = Graph6Stream(["A_\n", "!!bad\n", "Bw\n"], strict=False)
     graphs = list(stream)
     assert len(graphs) == 2
     assert len(stream.skipped) == 1
@@ -48,7 +50,7 @@ def test_stream_lenient_skips_and_counts():
 
 def test_stream_strict_aborts_with_line_number():
     with pytest.raises(Graph6Error) as err:
-        list(read_graph6_stream(["A_\n", "!!bad\n"], strict=True))
+        list(Graph6Stream(["A_\n", "!!bad\n"], strict=True))
     assert "line 2" in str(err.value)
 
 
@@ -103,8 +105,9 @@ def test_sweep_report_shape(flagc_family):
     json.dumps(payload)  # must be JSON-serializable as-is
 
 
-def test_pool_size_is_capped_by_cpu_count(flagc_family, graphs_by_n, monkeypatch):
-    # the fake pool runs chunks in this process and records the size it was given
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Run pool chunks in this process; returns the pool sizes requested."""
     sizes = []
 
     class FakePool:
@@ -122,8 +125,44 @@ def test_pool_size_is_capped_by_cpu_count(flagc_family, graphs_by_n, monkeypatch
 
     monkeypatch.setattr(corpus.multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(corpus.os, "cpu_count", lambda: 3)
+    return sizes
+
+
+def test_pool_size_is_capped_by_cpu_count(flagc_family, graphs_by_n, fake_pool):
     graphs = [g for n in range(6) for g in graphs_by_n[n]]
     serial = corpus._run_chunks(flagc_family, graphs, False, 1, 10)
     assert corpus._run_chunks(flagc_family, graphs, False, 8, 10) == serial
     assert corpus._run_chunks(flagc_family, graphs, False, 2, 10) == serial
-    assert sizes == [3, 2]
+    assert fake_pool == [3, 2]
+
+
+def test_audit_totals_merge_across_chunks(graphs_by_n, fake_pool):
+    everything = rc.FamilySpec("all-graphs", ())
+    graphs = [g for n in range(8) for g in graphs_by_n[n]]
+    assert len(graphs) == 1253
+    serial = corpus._run_chunks(everything, graphs, True, 1, DEFAULT_COLORING_CAP)
+    assert corpus._run_chunks(everything, graphs, True, 3, DEFAULT_COLORING_CAP) == serial
+    assert fake_pool == [3]
+    audit = serial["audit"]
+    assert audit["violated_total"] == 304
+    # the certificate cap keeps the first 100 certificates of the stream
+    first = []
+    for g in graphs:
+        first += [f.to_json() for f in rc.audit_graph(g, rc.invariant_bundle(g)).violations]
+        if len(first) >= 100:
+            break
+    assert audit["violated_certificates"] == first[:100]
+
+
+def test_audited_sweep_solves_chi_once_per_member(flagc_family, monkeypatch):
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if (name == "reedcheck" or name.startswith("reedcheck.")) and hasattr(module, "chromatic_number"):
+            def counted(g, *args, _solve=module.chromatic_number, **kwargs):
+                calls.append(g)
+                return _solve(g, *args, **kwargs)
+
+            monkeypatch.setattr(module, "chromatic_number", counted)
+    report = rc.sweep(flagc_family, 6, audit=True)
+    assert report.members > 0
+    assert len(calls) == report.members

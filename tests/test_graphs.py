@@ -251,3 +251,57 @@ def test_enumerated_levels_are_pairwise_non_isomorphic(graphs_by_n):
             bucket = buckets.setdefault(tuple(sorted(g.degree(v) for v in range(n))), [])
             assert not any(nx.is_isomorphic(h, other) for other in bucket), rc.graph_to_graph6(g)
             bucket.append(h)
+
+
+# the graph6 codec against networkx, up to the single-byte size limit --------
+
+@st.composite
+def _seeded_graphs(draw, n_min, n_max):
+    # edges from a seeded Random, so a 62-vertex graph stays one small draw
+    n = draw(st.integers(n_min, n_max))
+    p = draw(st.floats(0.0, 1.0))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return Graph.from_edges(n, [(v, w) for v in range(n) for w in range(v + 1, n)
+                                if rnd.random() < p])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_seeded_graphs(0, 62))
+def test_graph6_round_trip_agrees_with_networkx(g):
+    g6 = rc.graph_to_graph6(g)
+    h = nx.from_graph6_bytes(g6.encode())
+    assert h.number_of_nodes() == g.n
+    assert {tuple(sorted(e)) for e in h.edges()} == set(g.edges())
+    assert nx.to_graph6_bytes(_to_networkx(g), header=False).rstrip(b"\n") == g6.encode()
+    assert rc.graph_from_graph6(g6) == g
+
+
+@st.composite
+def _graph6_like_bytes(draw):
+    # a valid encoding with one byte possibly overwritten, cut short or
+    # extended, and an optional header and line ending; or plain noise
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=40))
+    data = bytearray(rc.graph_to_graph6(draw(_seeded_graphs(0, 62))).encode())
+    edit = draw(st.sampled_from(["none", "overwrite", "cut", "extend"]))
+    if edit == "overwrite":
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    elif edit == "cut":
+        del data[draw(st.integers(0, len(data) - 1)):]
+    elif edit == "extend":
+        data += draw(st.binary(min_size=1, max_size=3))
+    header = b">>graph6<<" if draw(st.booleans()) else b""
+    return header + bytes(data) + draw(st.sampled_from([b"", b"\n", b"\r\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph6_like_bytes())
+def test_graph6_decoder_accepts_only_what_networkx_decodes_alike(raw):
+    # lines are read as latin-1, so every byte string reaches the decoder
+    try:
+        g = rc.graph_from_graph6(raw.decode("latin-1"))
+    except Graph6Error:
+        return
+    h = nx.from_graph6_bytes(raw.rstrip(b"\r\n"))
+    assert h.number_of_nodes() == g.n
+    assert {tuple(sorted(e)) for e in h.edges()} == set(g.edges())
