@@ -7,6 +7,9 @@ canonical one (minimum bitstring).  Because the bitstring uses graph6
 column order, the first n-1 vertices of a canonical labeling always form
 a canonical labeling themselves, so each isomorphism class is produced
 exactly once and the kept graphs double as their own canonical codes.
+Most neighborhoods are skipped before any test: swapping an old vertex
+with the new one must not give a smaller string, and that bounds the new
+column from below by a threshold computed once per parent.
 
 Sweeps filter a corpus through a hereditary family, compute one exact
 invariant bundle per member, flag any Reed-bound violation with a full
@@ -27,7 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .audit import DEFAULT_COLORING_CAP, STATEMENTS, STATUSES, AuditReport, audit_graph
-from .graphs import Graph, Graph6Error, graph_from_graph6, graph_to_graph6, is_min_labeled
+from .graphs import (Graph, Graph6Error, _column_bits, graph_from_graph6, graph_to_graph6,
+                     is_min_labeled)
 from .invariants import InvariantBundle, invariant_bundle
 from .patterns import FamilySpec, in_family
 
@@ -49,12 +53,25 @@ def _canonical_level(n: int) -> tuple[Graph, ...]:
     out = []
     for parent in _canonical_level(n - 1):
         adj = parent.adj
-        for mask in masks:
+        for mask in masks[_first_child(parent):]:
             rows = [adj[i] | (((mask >> i) & 1) << (n - 1)) for i in range(n - 1)]
             rows.append(mask)
             if is_min_labeled(rows, n):
                 out.append(Graph(n, rows))
     return tuple(out)
+
+
+def _first_child(parent: Graph) -> int:
+    """The least new column, read as a number, that a child of ``parent`` can
+    have and still be canonical.
+
+    Swapping vertex v with the new vertex keeps columns 0..v-1, and column v
+    becomes the new column's top v bits.  So a new column ``col`` with
+    ``col >> (n-1-v) < cols[v]`` for some v (n the child's vertex count) gives a
+    smaller string, which happens exactly when ``col < cols[v] << (n-1-v)``.
+    """
+    cols = _column_bits(parent.adj, parent.n)
+    return max((cols[v] << (parent.n - v) for v in range(1, parent.n)), default=0)
 
 
 def enumerate_graphs(n: int):

@@ -7,7 +7,7 @@ import reedcheck as rc
 from reedcheck import corpus
 from reedcheck.audit import DEFAULT_COLORING_CAP
 from reedcheck.corpus import Graph6Stream
-from reedcheck.graphs import Graph6Error, graph_to_graph6
+from reedcheck.graphs import Graph, Graph6Error, graph_to_graph6, is_min_labeled
 
 
 def test_enumeration_counts_small(graphs_by_n):
@@ -21,6 +21,28 @@ def test_enumeration_is_canonical_and_sorted(graphs_by_n):
         assert len(set(codes)) == len(codes)
         for g in graphs_by_n[n]:
             assert rc.canonical_code(g) == graph_to_graph6(g)
+
+
+def _children(parent):
+    # the new vertex n-1 meets vertex i iff bit n-2-i of the new column is set
+    n = parent.n + 1
+    for col in range(1 << (n - 1)):
+        rows = [row | (((col >> (n - 2 - i)) & 1) << (n - 1)) for i, row in enumerate(parent.adj)]
+        rows.append(sum(1 << i for i in range(n - 1) if (col >> (n - 2 - i)) & 1))
+        yield col, rows
+
+
+def test_first_child_threshold_is_sound(graphs_by_n):
+    for n in range(1, 8):
+        unthresholded = []
+        for parent in graphs_by_n[n - 1]:
+            start = corpus._first_child(parent)
+            for col, rows in _children(parent):
+                if col < start:
+                    assert not is_min_labeled(rows, n), (graph_to_graph6(parent), col)
+                elif is_min_labeled(rows, n):
+                    unthresholded.append(Graph(n, rows))
+        assert corpus._canonical_level(n) == tuple(unthresholded)
 
 
 def test_enumeration_rejects_large_n():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import networkx as nx
@@ -178,6 +179,29 @@ def test_is_isomorphic_matches_code_equality(graphs_by_n):
 
 # independent oracles for the canonical search ---------------------------------
 
+def _brute_force_canonical_form(g: Graph) -> Graph:
+    # the least column string x(0,1), x(0,2), x(1,2), x(0,3), ... over every
+    # vertex order; the strings have one length, so tuples compare as strings
+    pairs = [(i, j) for j in range(1, g.n) for i in range(j)]
+    least = min(
+        tuple(g.has_edge(order[i], order[j]) for i, j in pairs)
+        for order in itertools.permutations(range(g.n))
+    )
+    return Graph.from_edges(g.n, [pair for pair, bit in zip(pairs, least) if bit])
+
+
+def test_canonical_form_matches_brute_force(graphs_by_n):
+    rng = random.Random(20261018)
+    sample = rng.sample(graphs_by_n[7], 40)
+    graphs = [g for n in range(7) for g in graphs_by_n[n]] + sample
+    assert len(graphs) == 209 + 40
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = _permuted(g, perm)
+        assert rc.canonical_form(h) == _brute_force_canonical_form(h), rc.graph_to_graph6(g)
+
+
 @st.composite
 def _random_graphs(draw, n_min, n_max):
     n = draw(st.integers(n_min, n_max))
@@ -218,6 +242,7 @@ def _symmetric_graphs_on_10():
     matching = Graph.from_edges(10, [(2 * i, 2 * i + 1) for i in range(5)])
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    prism = [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     return {
         "empty": Graph.empty(10),
@@ -225,6 +250,7 @@ def _symmetric_graphs_on_10():
         "5K2": matching,
         "cocktail-party": rc.complement(matching),
         "Petersen": Graph.from_edges(10, outer + inner + spokes),
+        "prism-C5xK2": Graph.from_edges(10, outer + prism + spokes),
         "C10": Graph.cycle(10),
     }
 
