@@ -22,7 +22,9 @@ sweep has already computed, and reads omega, chi and the Reed bound
 from it; chi is not solved again, not even by the coloring policy.  The
 policy audits every canonical optimal coloring (up to a cap) for
 n <= 7, and the first-fit colorings from every vertex rotation for
-8 <= n <= 10.  A single ``check`` builds the bundle itself.
+8 <= n <= 10.  A single ``check`` computes only what its statement reads:
+omega and the Reed bound, plus chi when the statement needs an optimal
+coloring.
 
 Violated findings on hosts containing a forbidden pattern are expected
 and kept: they demonstrate that the forbidden subgraphs are doing the
@@ -52,7 +54,8 @@ from .coloring import (
     unique_color_neighbors,
 )
 from .graphs import Graph, graph_from_graph6, graph_to_graph6, iter_bits
-from .invariants import InvariantBundle, invariant_bundle
+from .invariants import (InvariantBundle, chromatic_number, clique_number, max_degree,
+                         reed_bound)
 
 STATUSES = ("holds", "violated", "hypotheses-unmet", "gate-failed")
 
@@ -121,7 +124,8 @@ class _Instance:
 
     g: Graph
     graph6: str
-    bundle: InvariantBundle
+    omega: int
+    reed_bound: int
     c: Coloring
     u: int
     d: UniqueColorDecomposition
@@ -148,14 +152,14 @@ class _Instance:
             "colors_cover_R": all(colors[r] in colors_in_members for r in self.d.R),
             "size": len(members),
             "R_size": len(self.d.R),
-            "omega": self.bundle.omega,
+            "omega": self.omega,
         }
 
     def finding(self, statement: str, status: str, **fields) -> AuditFinding:
         return AuditFinding(statement, status, self.graph6, self.u, self.c.colors, **fields)
 
 
-def _instance(g: Graph, graph6: str, bundle: InvariantBundle, c: Coloring, u: int) -> _Instance:
+def _instance(g: Graph, graph6: str, omega: int, bound: int, c: Coloring, u: int) -> _Instance:
     d = unique_color_neighbors(g, c, u)
     r = len(d.R)
     deg_u = g.degree(u)
@@ -173,14 +177,15 @@ def _instance(g: Graph, graph6: str, bundle: InvariantBundle, c: Coloring, u: in
     return _Instance(
         g=g,
         graph6=graph6,
-        bundle=bundle,
+        omega=omega,
+        reed_bound=bound,
         c=c,
         u=u,
         d=d,
         seq=build_sequence(g, c, d),
         deg_u=deg_u,
-        degree_ok=deg_u >= r + 2 * (bundle.reed_bound - r),
-        size_ok=r >= bundle.omega + 1,
+        degree_ok=deg_u >= r + 2 * (bound - r),
+        size_ok=r >= omega + 1,
         pairs=pairs,
     )
 
@@ -196,8 +201,8 @@ def _gate(x: _Instance) -> list[AuditFinding]:
         info={
             "R": sorted(x.d.R),
             "deg_u": x.deg_u,
-            "reed_bound": x.bundle.reed_bound,
-            "omega": x.bundle.omega,
+            "reed_bound": x.reed_bound,
+            "omega": x.omega,
             "degree_condition": x.degree_ok,
             "size_condition": x.size_ok,
         },
@@ -334,14 +339,17 @@ def check(statement: str, g: Graph, c: Coloring, u: int) -> list[AuditFinding]:
         raise ValueError(f"unknown statement {statement!r}")
     if not is_proper(g, c):
         raise ValueError("coloring is not proper")
-    bundle = invariant_bundle(g)
+    omega = clique_number(g)
     needs_optimal, run = REGISTRY[statement]
-    if needs_optimal and c.color_count != bundle.chi:
-        raise ValueError(
-            f"coloring uses {c.color_count} colors but chi = {bundle.chi}; "
-            f"statement {statement} needs an optimal coloring"
-        )
-    return run(_instance(g, graph_to_graph6(g), bundle, c, u))
+    if needs_optimal:
+        chi = chromatic_number(g, omega=omega)
+        if c.color_count != chi:
+            raise ValueError(
+                f"coloring uses {c.color_count} colors but chi = {chi}; "
+                f"statement {statement} needs an optimal coloring"
+            )
+    bound = reed_bound(max_degree(g), omega)
+    return run(_instance(g, graph_to_graph6(g), omega, bound, c, u))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +424,7 @@ def audit_graph(g: Graph, bundle: InvariantBundle,
         optimal = c.color_count == bundle.chi
         all_gates_hold = optimal and g.n > 0
         for u in range(g.n):
-            instance = _instance(g, graph6, bundle, c, u)
+            instance = _instance(g, graph6, bundle.omega, bundle.reed_bound, c, u)
             all_gates_hold = all_gates_hold and instance.gate_holds
             for needs_optimal, run in REGISTRY.values():
                 if needs_optimal and not optimal:

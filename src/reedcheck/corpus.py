@@ -13,8 +13,15 @@ column from below by a threshold computed once per parent.
 
 Sweeps filter a corpus through a hereditary family, compute one exact
 invariant bundle per member, flag any Reed-bound violation with a full
-certificate, and optionally audit each member against its bundle.  Work
-is partitioned into contiguous chunks of the stream.  One fold adds
+certificate, and optionally audit each member against its bundle.  Every
+family is defined by forbidden induced patterns, so it is hereditary: an
+induced subgraph of a member is a member.  A sweep over the internal
+enumeration therefore decides membership level by level and tests a
+graph only when its parent (the graph on its first n-1 vertices, which it
+was extended from) is a member; the rest are counted as examined without
+a search.  A graph6 stream need not contain the parents of its graphs,
+so a stream sweep tests every line.  Work is partitioned into contiguous
+chunks of the stream, or of an internal sweep's members.  One fold adds
 totals up: each member's into its chunk's, and the chunks' into the
 sweep's in chunk order.  The capped lists (20 tight exemplars, 100
 audit certificates) therefore keep the first entries of the stream, and
@@ -222,10 +229,10 @@ def _fold(total: dict, part: dict) -> None:
 
 
 def _sweep_chunk(args) -> dict:
-    family, graphs, audit, coloring_cap = args
+    family, graphs, audit, coloring_cap, members_only = args
     part = _new_part(audit)
     for g in graphs:
-        if in_family(g, family).member:
+        if members_only or in_family(g, family).member:
             bundle = invariant_bundle(g)
             report = audit_graph(g, bundle, coloring_budget=coloring_cap) if audit else None
             _fold(part, _member_part(g, bundle, report))
@@ -237,12 +244,14 @@ def _sweep_chunk(args) -> dict:
 
 
 def _run_chunks(family: FamilySpec, graphs: list[Graph], audit: bool,
-                workers: int, coloring_cap: int) -> dict:
+                workers: int, coloring_cap: int, members_only: bool = False) -> dict:
+    """Sweep totals over ``graphs``; with ``members_only`` every graph is
+    already known to be a member and is not tested again."""
     if workers <= 1 or len(graphs) < 2 * workers:
-        return _sweep_chunk((family, graphs, audit, coloring_cap))
+        return _sweep_chunk((family, graphs, audit, coloring_cap, members_only))
     chunk_size = max(1, (len(graphs) + workers * 4 - 1) // (workers * 4))
     chunks = [
-        (family, graphs[i:i + chunk_size], audit, coloring_cap)
+        (family, graphs[i:i + chunk_size], audit, coloring_cap, members_only)
         for i in range(0, len(graphs), chunk_size)
     ]
     with multiprocessing.Pool(min(workers, os.cpu_count() or 1, len(chunks))) as pool:
@@ -260,9 +269,38 @@ def sweep(family: FamilySpec, n_max: int, *, audit: bool = False, workers: int =
     if not 0 <= n_max <= MAX_ENUMERATION_N:
         raise ValueError(f"n_max must be within 0..{MAX_ENUMERATION_N}")
     start = time.monotonic()
-    graphs = [g for n in range(n_max + 1) for g in enumerate_graphs(n)]
-    total = _run_chunks(family, graphs, audit, workers, coloring_cap)
+    total = _new_part(audit)
+    members = _hereditary_members(family, n_max, total)
+    _fold(total, _run_chunks(family, members, audit, workers, coloring_cap, members_only=True))
     return _finish_report(family, n_max, total, skipped=0, start=start)
+
+
+def _hereditary_members(family: FamilySpec, n_max: int, total: dict) -> list[Graph]:
+    """The members with at most ``n_max`` vertices, in enumeration order.
+
+    Membership is decided level by level.  A graph's parent is the graph on
+    its first n-1 vertices, which orderly extension built it from; since the
+    family is hereditary, a child of a non-member is no member and is not
+    tested.  Every graph that is not returned is counted into ``total`` as
+    examined.
+    """
+    members: list[Graph] = []
+    # adjacency rows of the previous level's members; the empty graph's
+    # parent rows are () too, so level 0 is always tested
+    parents = {()}
+    for n in range(n_max + 1):
+        low = (1 << max(n - 1, 0)) - 1
+        graphs = _canonical_level(n)
+        level = set()
+        for g in graphs:
+            if (tuple(row & low for row in g.adj[:n - 1]) in parents
+                    and in_family(g, family).member):
+                members.append(g)
+                level.add(g.adj)
+        _per_n_row(total, n)["examined"] += len(graphs) - len(level)
+        total["examined"] += len(graphs) - len(level)
+        parents = level
+    return members
 
 
 def sweep_stream(family: FamilySpec, lines, *, strict: bool = True, audit: bool = False,

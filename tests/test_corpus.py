@@ -7,7 +7,7 @@ import reedcheck as rc
 from reedcheck import corpus
 from reedcheck.audit import DEFAULT_COLORING_CAP
 from reedcheck.corpus import Graph6Stream
-from reedcheck.graphs import Graph, Graph6Error, graph_to_graph6, is_min_labeled
+from reedcheck.graphs import Graph, Graph6Error, graph_to_graph6, induced_subgraph, is_min_labeled
 
 
 def test_enumeration_counts_small(graphs_by_n):
@@ -188,3 +188,57 @@ def test_audited_sweep_solves_chi_once_per_member(flagc_family, monkeypatch):
     report = rc.sweep(flagc_family, 6, audit=True)
     assert report.members > 0
     assert len(calls) == report.members
+
+
+_C5_3K1 = rc.FamilySpec(
+    "c5-3k1", (("C5", rc.builtin_pattern("C5")), ("ThreeK1", rc.builtin_pattern("3K1"))))
+
+
+@pytest.mark.parametrize("family", [*rc.FAMILIES.values(), _C5_3K1], ids=lambda f: f.name)
+def test_hereditary_sweep_equals_filter_after_enumerate(family, graphs_by_n, fake_pool):
+    graphs = [g for n in range(8) for g in graphs_by_n[n]]
+    report = rc.sweep(family, 7)
+    for n in range(8):
+        assert report.per_n[n]["examined"] == len(graphs_by_n[n])
+        assert report.per_n[n]["members"] == sum(
+            rc.in_family(g, family).member for g in graphs_by_n[n])
+    # the same totals as testing every enumerated graph inside the chunks
+    filtered = corpus._run_chunks(family, graphs, False, 1, DEFAULT_COLORING_CAP)
+    assert (report.examined, report.members, report.per_n, report.violations,
+            report.tight_count, report.tight_exemplars) == (
+        filtered["examined"], filtered["members"], filtered["per_n"], filtered["violations"],
+        filtered["tight_count"], filtered["tight"])
+    serial = report.to_json()
+    parallel = rc.sweep(family, 7, workers=3).to_json()
+    assert fake_pool == [3]
+    serial.pop("wall_time_s")
+    parallel.pop("wall_time_s")
+    assert json.dumps(serial) == json.dumps(parallel)
+
+
+def test_sweep_tests_membership_only_on_children_of_members(flagc_family, graphs_by_n,
+                                                             monkeypatch):
+    graphs = [g for n in range(8) for g in graphs_by_n[n]]
+    # a graph's parent is its subgraph on the first n-1 vertices
+    with_member_parent = [
+        g for g in graphs
+        if rc.in_family(induced_subgraph(g, range(g.n - 1)), flagc_family).member
+    ]
+    calls = []
+
+    def counted(g, family, _test=corpus.in_family):
+        calls.append(g)
+        return _test(g, family)
+
+    monkeypatch.setattr(corpus, "in_family", counted)
+    report = rc.sweep(flagc_family, 7)
+    assert report.examined == len(graphs)
+    assert calls == with_member_parent
+    assert len(calls) < len(graphs)
+
+    # a stream need not hold its graphs' parents: every line is tested
+    calls.clear()
+    lines = [graph_to_graph6(g) + "\n" for g in graphs]
+    streamed = rc.sweep_stream(flagc_family, lines)
+    assert len(calls) == len(lines)
+    assert streamed.per_n == report.per_n
