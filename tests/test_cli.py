@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -186,6 +187,44 @@ def test_audit_source_output_is_pinned(capsys, tmp_path, graphs_by_n):
     assert sum(len(row["violations"]) for row in rows) == 8
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "44cf60893b3f15ad8da1bc929f205e2a69e7164bf375a5c0fd5e2812d709cd4d")
+
+
+def _audit_source(capsys, tmp_path, lines):
+    src = tmp_path / "graphs.g6"
+    src.write_text("".join(line + "\n" for line in lines))
+    code, out, _ = run(capsys, "audit", "--source", str(src))
+    assert code == 0
+    return out
+
+
+def test_audit_source_output_is_pinned_at_n7(capsys, tmp_path, graphs_by_n):
+    # all 1,044 classes with n = 7, audited on every canonical optimal coloring
+    out = _audit_source(capsys, tmp_path, [rc.graph_to_graph6(g) for g in graphs_by_n[7]])
+    rows = ndjson(out)
+    assert len(rows) == 1044
+    assert sum(len(row["violations"]) for row in rows) == 296
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ff5409fb29098ae06cb2e7e0aab7d07089e4111486074826d4b722aa48ac11f7")
+
+
+def test_audit_source_output_is_pinned_on_random_graphs(capsys, tmp_path):
+    # 40 seeded G(n, p) with n = 8..10, audited on first-fit rotations, so
+    # S2 and S3 also run on colorings that use more than chi colors
+    rnd = random.Random(2018)
+    lines = []
+    for i in range(40):
+        n = 8 + i % 3
+        p = rnd.uniform(0.2, 0.9)
+        lines.append(rc.graph_to_graph6(rc.Graph.from_edges(
+            n, [(v, w) for v in range(n) for w in range(v + 1, n) if rnd.random() < p])))
+    out = _audit_source(capsys, tmp_path, lines)
+    rows = ndjson(out)
+    assert sum(row["member"] for row in rows) == 17
+    assert sum(row["counters"]["S2"]["violated"] for row in rows) == 28
+    assert sum(row["counters"]["S3"]["holds"] for row in rows) == 2
+    assert sum(row["counters"]["S3"]["violated"] for row in rows) == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6bfd6df0f6f15d1a2ecbf0bf52b080a4add489e1a949083a4ef6068456c6b20b")
 
 
 def test_patterns_command(capsys):
