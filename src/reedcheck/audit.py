@@ -13,9 +13,15 @@ declared violated on instances outside their hypotheses.
 Everything the statements read about one instance (the R/S/T
 decomposition, the gate values, the substitute levels, the ordered
 non-adjacent pairs of T and the set that CLAIM and FINAL test) is built
-at most once, and each statement is a pure function of that record.
-The statements live in one ordered registry, through which whole-graph
-audits, single checks and replays dispatch.
+at most once, as vertex masks over the coloring's class masks, and the
+levels, pairs and CLAIM set only when a statement first reads them.
+Each statement is a pure function of that record that yields
+(status, vertices, hypothesis_failed) outcomes; its info dict is built
+from the record only when an outcome becomes an ``AuditFinding``.  The
+statements live in one ordered registry, through which whole-graph
+audits, single checks and replays dispatch.  A whole-graph audit counts
+every outcome but builds findings only for violated ones; ``check`` and
+``replay_finding`` build every finding.
 
 A whole-graph audit is handed the graph's invariant bundle, which a
 sweep has already computed, and reads omega, chi and the Reed bound
@@ -36,8 +42,8 @@ named statement on a certificate reproduces its finding exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .coloring import (
@@ -88,245 +94,273 @@ class AuditFinding:
         }
 
 
-def _colored_neighbors(g: Graph, c: Coloring, v: int, color: int) -> tuple[int, ...]:
-    return tuple(w for w in iter_bits(g.adj[v]) if c.colors[w] == color)
+# ---------------------------------------------------------------------------
+# one (coloring, apex) instance, on vertex masks
+# ---------------------------------------------------------------------------
+
+def _vertex_list(mask: int) -> list[int]:
+    return list(iter_bits(mask))
 
 
-def _is_complete(g: Graph, vertices) -> bool:
-    vs = sorted(vertices)
-    for a in range(len(vs)):
-        for b in range(a + 1, len(vs)):
-            if not g.has_edge(vs[a], vs[b]):
-                return False
+def _single(mask: int) -> bool:
+    return mask != 0 and not mask & (mask - 1)
+
+
+def _is_clique(adj: tuple[int, ...], mask: int) -> bool:
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if mask & ~adj[low.bit_length() - 1] != low:
+            return False
+        rest ^= low
     return True
 
 
-# ---------------------------------------------------------------------------
-# one (coloring, apex) instance, built once
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Pair:
-    """An ordered non-adjacent pair (t, t') of T."""
+class _Pair(NamedTuple):
+    """An ordered non-adjacent pair (t, t') of T, as masks."""
 
     path: BicolorPath | None
-    of_t: tuple[int, ...]  # neighbors of t colored like t'
-    of_t_prime: tuple[int, ...]  # neighbors of t' colored like t
+    of_t: int  # neighbors of t colored like t'
+    of_t_prime: int  # neighbors of t' colored like t
 
     @property
     def unique_partners(self) -> bool:
-        return len(self.of_t) == 1 and len(self.of_t_prime) == 1
+        return _single(self.of_t) and _single(self.of_t_prime)
 
 
-@dataclass(frozen=True)
 class _Instance:
-    """Everything the statements read about one (graph, coloring, apex)."""
+    """Everything the statements read about one (graph, coloring, apex).
 
-    g: Graph
-    graph6: str
-    omega: int
-    reed_bound: int
-    c: Coloring
-    u: int
-    d: UniqueColorDecomposition
-    seq: SequenceDecomposition  # level 0 is (T, T')
-    deg_u: int
-    degree_ok: bool
-    size_ok: bool
-    pairs: dict[tuple[int, int], _Pair]  # in sorted (t, t') order
+    Vertex sets are masks.  The substitute levels, the ordered non-adjacent
+    pairs of T and the set that CLAIM and FINAL test are built on first
+    use, so an instance that fails the gate never builds the levels.
+    """
+
+    __slots__ = ("g", "graph6", "omega", "reed_bound", "c", "u", "d", "deg_u",
+                 "degree_ok", "size_ok", "gate_holds", "_seq", "_pairs", "_claim")
+
+    def __init__(self, g: Graph, graph6: str, omega: int, reed_bound: int,
+                 c: Coloring, d: UniqueColorDecomposition):
+        self.g = g
+        self.graph6 = graph6
+        self.omega = omega
+        self.reed_bound = reed_bound
+        self.c = c
+        self.u = d.u
+        self.d = d
+        r = d.R_mask.bit_count()
+        self.deg_u = g.adj[d.u].bit_count()
+        self.degree_ok = self.deg_u >= r + 2 * (reed_bound - r)
+        self.size_ok = r >= omega + 1
+        self.gate_holds = self.degree_ok and self.size_ok
+        self._seq = self._pairs = self._claim = None
 
     @property
-    def gate_holds(self) -> bool:
-        return self.degree_ok and self.size_ok
+    def seq(self) -> SequenceDecomposition:
+        """The substitute levels; level 0 is (T, T')."""
+        if self._seq is None:
+            self._seq = build_sequence(self.g, self.c, self.d)
+        return self._seq
 
-    @cached_property
-    def claim_set(self) -> dict:
+    @property
+    def pairs(self) -> dict[tuple[int, int], _Pair]:
+        """The ordered non-adjacent pairs of T, in sorted (t, t') order."""
+        if self._pairs is None:
+            adj, classes, colors = self.g.adj, self.c.classes, self.c.colors
+            T = self.d.T_mask
+            self._pairs = {} if not T & (T - 1) else {
+                (t, t2): _Pair(find_bicolor_path4(self.g, self.c, t, t2),
+                               adj[t] & classes[colors[t2]], adj[t2] & classes[colors[t]])
+                for t in iter_bits(T)
+                for t2 in iter_bits(T & ~adj[t] & ~(1 << t))
+            }
+        return self._pairs
+
+    @property
+    def claim(self) -> tuple[int, bool, bool]:
         """W plus all substitute levels, whether it is complete and whether
-        its colors cover R's; CLAIM and FINAL both report it as their info."""
-        colors = self.c.colors
-        members = sorted(self.seq.W | self.seq.primed_union())
-        colors_in_members = {colors[v] for v in members}
-        return {
-            "members": members,
-            "complete": _is_complete(self.g, members),
-            "colors_cover_R": all(colors[r] in colors_in_members for r in self.d.R),
-            "size": len(members),
-            "R_size": len(self.d.R),
-            "omega": self.omega,
-        }
-
-    def finding(self, statement: str, status: str, **fields) -> AuditFinding:
-        return AuditFinding(statement, status, self.graph6, self.u, self.c.colors, **fields)
-
-
-def _instance(g: Graph, graph6: str, omega: int, bound: int, c: Coloring, u: int) -> _Instance:
-    d = unique_color_neighbors(g, c, u)
-    r = len(d.R)
-    deg_u = g.degree(u)
-    T = sorted(d.T)
-    pairs = {
-        (t, t2): _Pair(
-            find_bicolor_path4(g, c, t, t2),
-            _colored_neighbors(g, c, t, c.colors[t2]),
-            _colored_neighbors(g, c, t2, c.colors[t]),
-        )
-        for t in T
-        for t2 in T
-        if t2 != t and not g.has_edge(t, t2)
-    }
-    return _Instance(
-        g=g,
-        graph6=graph6,
-        omega=omega,
-        reed_bound=bound,
-        c=c,
-        u=u,
-        d=d,
-        seq=build_sequence(g, c, d),
-        deg_u=deg_u,
-        degree_ok=deg_u >= r + 2 * (bound - r),
-        size_ok=r >= omega + 1,
-        pairs=pairs,
-    )
+        its colors cover R's."""
+        if self._claim is None:
+            members = self.seq.W_mask | self.seq.primed_mask
+            classes, colors = self.c.classes, self.c.colors
+            covered = all(classes[colors[r]] & members for r in iter_bits(self.d.R_mask))
+            self._claim = (members, _is_clique(self.g.adj, members), covered)
+        return self._claim
 
 
 # ---------------------------------------------------------------------------
-# the statements, each a pure function of one instance
+# the statements: each yields (status, vertices, hypothesis_failed) outcomes
+# of one instance, and builds a finding's info only when it is materialized
 # ---------------------------------------------------------------------------
 
-def _gate(x: _Instance) -> list[AuditFinding]:
+Outcome = tuple[str, tuple[int, ...], str | None]  # (status, vertices, hypothesis_failed)
+
+_GATE_UNMET = ("hypotheses-unmet", (), "gate-I")
+
+
+def _gate(x: _Instance) -> list[Outcome]:
     """Entry gate: deg u >= |R| + 2*(bound - |R|) and |R| >= omega + 1."""
-    return [x.finding(
-        "I", "holds" if x.gate_holds else "gate-failed",
-        info={
-            "R": sorted(x.d.R),
-            "deg_u": x.deg_u,
-            "reed_bound": x.reed_bound,
-            "omega": x.omega,
-            "degree_condition": x.degree_ok,
-            "size_condition": x.size_ok,
-        },
-    )]
+    return [("holds" if x.gate_holds else "gate-failed", (), None)]
 
 
-def _statement_1(x: _Instance) -> list[AuditFinding]:
+def _gate_info(x: _Instance, vertices, hypothesis_failed) -> dict:
+    return {
+        "R": _vertex_list(x.d.R_mask),
+        "deg_u": x.deg_u,
+        "reed_bound": x.reed_bound,
+        "omega": x.omega,
+        "degree_condition": x.degree_ok,
+        "size_condition": x.size_ok,
+    }
+
+
+def _statement_1(x: _Instance) -> list[Outcome]:
     """Past the gate, |T| >= 2 unless T is empty and R already is a big clique."""
-    d = x.d
-    info = {"T": sorted(d.T), "R": sorted(d.R)}
     if not x.gate_holds:
-        return [x.finding("S1", "hypotheses-unmet", hypothesis_failed="gate-I", info=info)]
+        return [_GATE_UNMET]
     # the gate already gives |R| >= omega + 1
-    ok = len(d.T) >= 2 or (not d.T and _is_complete(x.g, d.R))
-    return [x.finding("S1", "holds" if ok else "violated", info=info)]
+    T = x.d.T_mask
+    ok = T.bit_count() >= 2 or (not T and _is_clique(x.g.adj, x.d.R_mask))
+    return [("holds" if ok else "violated", (), None)]
 
 
-def _statement_2(x: _Instance) -> list[AuditFinding]:
+def _statement_1_info(x: _Instance, vertices, hypothesis_failed) -> dict:
+    return {"T": _vertex_list(x.d.T_mask), "R": _vertex_list(x.d.R_mask)}
+
+
+def _statement_2(x: _Instance) -> list[Outcome]:
     """Each non-adjacent ordered pair in T with an alternating 4-path must
-    have unique opposite-colored partners (one finding per pair)."""
-    findings = []
-    for key, pair in x.pairs.items():
-        if pair.path is None:
-            findings.append(x.finding("S2", "hypotheses-unmet", vertices=key,
-                                      hypothesis_failed="bicolor-path4"))
-            continue
-        findings.append(x.finding(
-            "S2", "holds" if pair.unique_partners else "violated", vertices=key,
-            info={"path": list(pair.path.vertices),
-                  "opposite_neighbors_of_t": len(pair.of_t),
-                  "opposite_neighbors_of_t_prime": len(pair.of_t_prime)}))
-    return findings
+    have unique opposite-colored partners (one outcome per pair)."""
+    return [("hypotheses-unmet", key, "bicolor-path4") if pair.path is None
+            else ("holds" if pair.unique_partners else "violated", key, None)
+            for key, pair in x.pairs.items()]
 
 
-def _statement_3(x: _Instance) -> list[AuditFinding]:
+def _statement_2_info(x: _Instance, vertices, hypothesis_failed) -> dict:
+    if hypothesis_failed:
+        return {}
+    pair = x.pairs[vertices]
+    return {"path": list(pair.path.vertices),
+            "opposite_neighbors_of_t": pair.of_t.bit_count(),
+            "opposite_neighbors_of_t_prime": pair.of_t_prime.bit_count()}
+
+
+def _statement_3(x: _Instance) -> list[Outcome]:
     """Two vertices of T non-adjacent to the same t must share their unique
-    partner in t's color (one finding per qualifying triple)."""
-    findings = []
-    T = sorted(x.d.T)
-    for t in T:
-        others = [y for y in T if (t, y) in x.pairs]
-        for t2, t3 in combinations(others, 2):
-            first, second = x.pairs[t, t2], x.pairs[t, t3]
+    partner in t's color (one outcome per qualifying triple)."""
+    pairs = x.pairs
+    outcomes = []
+    for t, keys in groupby(pairs, key=itemgetter(0)):
+        for (_, t2), (_, t3) in combinations(keys, 2):
+            first, second = pairs[t, t2], pairs[t, t3]
             vertices = (t, t2, t3)
             if first.path is None or second.path is None:
-                findings.append(x.finding("S3", "hypotheses-unmet", vertices=vertices,
-                                          hypothesis_failed="bicolor-path4"))
+                outcomes.append(("hypotheses-unmet", vertices, "bicolor-path4"))
             elif not (first.unique_partners and second.unique_partners):
-                findings.append(x.finding("S3", "hypotheses-unmet", vertices=vertices,
-                                          hypothesis_failed="statement-2"))
+                outcomes.append(("hypotheses-unmet", vertices, "statement-2"))
             else:
-                a, b = first.of_t_prime[0], second.of_t_prime[0]
-                findings.append(x.finding(
-                    "S3", "holds" if a == b else "violated", vertices=vertices,
-                    info={"partner_of_second": a, "partner_of_third": b}))
-    return findings
+                same = first.of_t_prime == second.of_t_prime
+                outcomes.append(("holds" if same else "violated", vertices, None))
+    return outcomes
 
 
-def _statement_4(x: _Instance) -> list[AuditFinding]:
+def _statement_3_info(x: _Instance, vertices, hypothesis_failed) -> dict:
+    if hypothesis_failed:
+        return {}
+    t, t2, t3 = vertices
+    return {"partner_of_second": x.pairs[t, t2].of_t_prime.bit_length() - 1,
+            "partner_of_third": x.pairs[t, t3].of_t_prime.bit_length() - 1}
+
+
+def _s4_sets(x: _Instance) -> tuple[int, int]:
+    levels = x.seq.level_masks
+    return levels[0][1], levels[1][1] if len(levels) > 1 else 0
+
+
+def _statement_4(x: _Instance) -> list[Outcome]:
     """Past the gate with substitutes present, T' and the level-1 substitutes
     must induce a complete graph.  The T'-completeness sub-check is always
     reported in the finding's info."""
-    levels = x.seq.levels
-    t_prime = levels[0][1]
-    s1_prime = levels[1][1] if len(levels) > 1 else frozenset()
-    target = t_prime | s1_prime
-    info = {
-        "T_prime": sorted(t_prime),
-        "S1_prime": sorted(s1_prime),
-        "t_prime_complete": _is_complete(x.g, t_prime),
-    }
     if not x.gate_holds:
-        return [x.finding("S4", "hypotheses-unmet", hypothesis_failed="gate-I", info=info)]
+        return [_GATE_UNMET]
+    t_prime, s1_prime = _s4_sets(x)
     if not t_prime:
-        return [x.finding("S4", "hypotheses-unmet", hypothesis_failed="T-prime-empty", info=info)]
-    ok = _is_complete(x.g, target)
-    return [x.finding("S4", "holds" if ok else "violated",
-                      vertices=tuple(sorted(target)), info=info)]
+        return [("hypotheses-unmet", (), "T-prime-empty")]
+    target = t_prime | s1_prime
+    ok = _is_clique(x.g.adj, target)
+    return [("holds" if ok else "violated", tuple(iter_bits(target)), None)]
 
 
-def _claim(x: _Instance) -> list[AuditFinding]:
+def _statement_4_info(x: _Instance, vertices, hypothesis_failed) -> dict:
+    t_prime, s1_prime = _s4_sets(x)
+    return {
+        "T_prime": _vertex_list(t_prime),
+        "S1_prime": _vertex_list(s1_prime),
+        "t_prime_complete": _is_clique(x.g.adj, t_prime),
+    }
+
+
+def _claim(x: _Instance) -> list[Outcome]:
     """Past the gate, W plus all substitute levels must induce a complete
     graph whose colors cover R's colors; since that would force a clique
     of size omega + 1, no instance can satisfy everything at once.  The
     completeness sub-check is always reported in the finding's info."""
-    info = x.claim_set
     if not x.gate_holds:
-        return [x.finding("CLAIM", "hypotheses-unmet", hypothesis_failed="gate-I", info=info)]
-    ok = info["complete"] and info["colors_cover_R"]
-    return [x.finding("CLAIM", "holds" if ok else "violated",
-                      vertices=tuple(info["members"]), info=info)]
+        return [_GATE_UNMET]
+    members, complete, covered = x.claim
+    return [("holds" if complete and covered else "violated", tuple(iter_bits(members)), None)]
 
 
-def _final(x: _Instance) -> list[AuditFinding]:
+def _final(x: _Instance) -> list[Outcome]:
     """Closing contradiction: a complete W-plus-substitutes set covering R's
     colors would contain a clique on omega + 1 vertices, which cannot exist."""
-    info = x.claim_set
     if not x.gate_holds:
-        return [x.finding("FINAL", "hypotheses-unmet", hypothesis_failed="gate-I", info=info)]
-    if not info["complete"]:
-        return [x.finding("FINAL", "hypotheses-unmet",
-                          hypothesis_failed="claim-completeness", info=info)]
-    return [x.finding("FINAL", "holds" if info["colors_cover_R"] else "violated",
-                      vertices=tuple(info["members"]), info=info)]
+        return [_GATE_UNMET]
+    members, complete, covered = x.claim
+    if not complete:
+        return [("hypotheses-unmet", (), "claim-completeness")]
+    return [("holds" if covered else "violated", tuple(iter_bits(members)), None)]
+
+
+def _claim_info(x: _Instance, vertices, hypothesis_failed) -> dict:
+    members, complete, covered = x.claim
+    return {
+        "members": _vertex_list(members),
+        "complete": complete,
+        "colors_cover_R": covered,
+        "size": members.bit_count(),
+        "R_size": x.d.R_mask.bit_count(),
+        "omega": x.omega,
+    }
 
 
 class Statement(NamedTuple):
     """A registered statement: whether it needs a coloring that achieves
-    chi, and its findings on one instance."""
+    chi, its (status, vertices, hypothesis_failed) outcomes on one
+    instance, and the info of one outcome's finding."""
 
     needs_optimal: bool
-    run: Callable[[_Instance], list[AuditFinding]]
+    outcomes: Callable[[_Instance], list[Outcome]]
+    info: Callable[[_Instance, tuple[int, ...], str | None], dict]
 
 
 REGISTRY: dict[str, Statement] = {
-    "I": Statement(True, _gate),
-    "S1": Statement(True, _statement_1),
-    "S2": Statement(False, _statement_2),
-    "S3": Statement(False, _statement_3),
-    "S4": Statement(True, _statement_4),
-    "CLAIM": Statement(True, _claim),
-    "FINAL": Statement(True, _final),
+    "I": Statement(True, _gate, _gate_info),
+    "S1": Statement(True, _statement_1, _statement_1_info),
+    "S2": Statement(False, _statement_2, _statement_2_info),
+    "S3": Statement(False, _statement_3, _statement_3_info),
+    "S4": Statement(True, _statement_4, _statement_4_info),
+    "CLAIM": Statement(True, _claim, _claim_info),
+    "FINAL": Statement(True, _final, _claim_info),
 }
 STATEMENTS = tuple(REGISTRY)
+
+
+def _finding(statement: str, x: _Instance, status: str, vertices: tuple[int, ...],
+             hypothesis_failed: str | None) -> AuditFinding:
+    info = REGISTRY[statement].info(x, vertices, hypothesis_failed)
+    return AuditFinding(statement, status, x.graph6, x.u, x.c.colors,
+                        vertices, hypothesis_failed, info)
 
 
 def check(statement: str, g: Graph, c: Coloring, u: int) -> list[AuditFinding]:
@@ -340,7 +374,7 @@ def check(statement: str, g: Graph, c: Coloring, u: int) -> list[AuditFinding]:
     if not is_proper(g, c):
         raise ValueError("coloring is not proper")
     omega = clique_number(g)
-    needs_optimal, run = REGISTRY[statement]
+    needs_optimal, outcomes, _ = REGISTRY[statement]
     if needs_optimal:
         chi = chromatic_number(g, omega=omega)
         if c.color_count != chi:
@@ -349,7 +383,8 @@ def check(statement: str, g: Graph, c: Coloring, u: int) -> list[AuditFinding]:
                 f"statement {statement} needs an optimal coloring"
             )
     bound = reed_bound(max_degree(g), omega)
-    return run(_instance(g, graph_to_graph6(g), omega, bound, c, u))
+    x = _Instance(g, graph_to_graph6(g), omega, bound, c, unique_color_neighbors(g, c, u))
+    return [_finding(statement, x, *outcome) for outcome in outcomes(x)]
 
 
 # ---------------------------------------------------------------------------
@@ -417,22 +452,24 @@ def audit_graph(g: Graph, bundle: InvariantBundle,
         raise ValueError(f"invariant bundle with n={bundle.n}, m={bundle.m} given for {graph6}")
     colorings, truncated = audit_colorings(g, bundle.chi, cap=coloring_budget)
     counters = {s: {st: 0 for st in STATUSES} for s in STATEMENTS}
+    every = [(name, counters[name], spec.outcomes) for name, spec in REGISTRY.items()]
+    any_coloring = [entry for entry in every if not REGISTRY[entry[0]].needs_optimal]
     violations: list[AuditFinding] = []
     gate_full_pass = 0
 
     for c in colorings:
         optimal = c.color_count == bundle.chi
+        statements = every if optimal else any_coloring
         all_gates_hold = optimal and g.n > 0
         for u in range(g.n):
-            instance = _instance(g, graph6, bundle.omega, bundle.reed_bound, c, u)
-            all_gates_hold = all_gates_hold and instance.gate_holds
-            for needs_optimal, run in REGISTRY.values():
-                if needs_optimal and not optimal:
-                    continue
-                for finding in run(instance):
-                    counters[finding.statement][finding.status] += 1
-                    if finding.status == "violated":
-                        violations.append(finding)
+            x = _Instance(g, graph6, bundle.omega, bundle.reed_bound, c,
+                          unique_color_neighbors(g, c, u))
+            all_gates_hold = all_gates_hold and x.gate_holds
+            for name, counter, outcomes in statements:
+                for status, vertices, hypothesis_failed in outcomes(x):
+                    counter[status] += 1
+                    if status == "violated":
+                        violations.append(_finding(name, x, status, vertices, hypothesis_failed))
         if all_gates_hold:
             gate_full_pass += 1
 

@@ -6,13 +6,18 @@ R, the neighbors whose color is unique inside N(u); splits it into S
 (adjacent to all of R) and T = R - S; collects substitutes T' outside
 the closed neighborhood; and iterates the substitute construction into
 levels (S_l, S_l') until it dries up, leaving the core W.  All of these
-are plain set computations over one graph and one proper coloring, so
-they can be audited on any concrete instance.
+are computed over one graph and one proper coloring, so they can be
+audited on any concrete instance.  They work on vertex masks: a
+coloring builds the mask of each color class once, and R, S, T, T', the
+levels and W are ANDs and ORs of those masks with adjacency rows.  The
+decomposition records keep the masks and derive their vertex sets on
+request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import Graph, iter_bits
 from .invariants import chromatic_number
@@ -32,6 +37,14 @@ class Coloring:
                 f"colors must cover 0..{self.color_count - 1} exactly, got {sorted(used)}"
             )
 
+    @cached_property
+    def classes(self) -> tuple[int, ...]:
+        """The vertex mask of each color class, indexed by color."""
+        masks = [0] * self.color_count
+        for v, col in enumerate(self.colors):
+            masks[col] |= 1 << v
+        return tuple(masks)
+
 
 def is_proper(g: Graph, c: Coloring) -> bool:
     """True iff no edge joins two vertices of equal color."""
@@ -47,15 +60,19 @@ def greedy_coloring(g: Graph, order: tuple[int, ...] | list[int]) -> Coloring:
     """First-fit along ``order`` (must be a permutation of the vertices)."""
     if sorted(order) != list(range(g.n)):
         raise ValueError("order must be a permutation of 0..n-1")
-    colors = [-1] * g.n
+    adj = g.adj
+    colors = [0] * g.n
+    classes: list[int] = []
     for v in order:
-        taken = {colors[w] for w in iter_bits(g.adj[v]) if colors[w] >= 0}
+        row = adj[v]
         c = 0
-        while c in taken:
+        while c < len(classes) and classes[c] & row:
             c += 1
+        if c == len(classes):
+            classes.append(0)
+        classes[c] |= 1 << v
         colors[v] = c
-    count = max(colors) + 1 if g.n else 0
-    return Coloring(tuple(colors), count)
+    return Coloring(tuple(colors), len(classes))
 
 
 def canonicalize_coloring(c: Coloring) -> Coloring:
@@ -121,6 +138,7 @@ def enumerate_optimal_colorings(g: Graph, cap: int | None = None, *,
         return True
 
     assign(0, 0)
+    del assign  # the closure refers to itself; dropping the name breaks the cycle
     return OptimalColorings(tuple(found), truncated, k)
 
 
@@ -189,16 +207,20 @@ def find_bicolor_path4(g: Graph, c: Coloring, t: int, t_prime: int) -> BicolorPa
     i = c.colors[t_prime]
     if i == j:
         raise ValueError("endpoints must have different colors")
-    if g.has_edge(t, t_prime):
+    adj = g.adj
+    if (adj[t] >> t_prime) & 1:
         raise ValueError("endpoints must be non-adjacent")
-    for v in iter_bits(g.adj[t]):
-        if c.colors[v] != i or v == t_prime:
-            continue
-        for w in iter_bits(g.adj[v]):
-            if c.colors[w] != j or w == t:
-                continue
-            if g.has_edge(w, t_prime):
-                return BicolorPath((t, v, w, t_prime), (j, i))
+    # V ranges over t's neighbors colored i (t' is not one of them), and
+    # W over V's neighbors colored j that also see t' (t is not one of them)
+    ends = c.classes[j] & adj[t_prime]
+    middles = c.classes[i] & adj[t]
+    while middles:
+        low = middles & -middles
+        v = low.bit_length() - 1
+        ws = ends & adj[v]
+        if ws:
+            return BicolorPath((t, v, (ws & -ws).bit_length() - 1, t_prime), (j, i))
+        middles ^= low
     return None
 
 
@@ -206,56 +228,90 @@ def find_bicolor_path4(g: Graph, c: Coloring, t: int, t_prime: int) -> BicolorPa
 # unique-color decompositions around an apex vertex
 # ---------------------------------------------------------------------------
 
+def _vertex_set(mask: int) -> frozenset[int]:
+    return frozenset(iter_bits(mask))
+
+
+def _outside(g: Graph, u: int) -> int:
+    """The vertices outside the closed neighborhood of u."""
+    return ((1 << g.n) - 1) & ~(g.adj[u] | (1 << u))
+
+
 @dataclass(frozen=True)
 class UniqueColorDecomposition:
-    """R, S, T around an apex vertex for one proper coloring.
+    """R, S, T around an apex vertex for one proper coloring, as vertex masks.
 
     R holds the neighbors of u whose color appears exactly once in N(u);
     S those adjacent to every other vertex of R; T is the rest of R.
     """
 
     u: int
-    R: frozenset[int]
-    S: frozenset[int]
-    T: frozenset[int]
+    R_mask: int
+    S_mask: int
+    T_mask: int
+
+    @property
+    def R(self) -> frozenset[int]:
+        return _vertex_set(self.R_mask)
+
+    @property
+    def S(self) -> frozenset[int]:
+        return _vertex_set(self.S_mask)
+
+    @property
+    def T(self) -> frozenset[int]:
+        return _vertex_set(self.T_mask)
 
 
 def unique_color_neighbors(g: Graph, c: Coloring, u: int) -> UniqueColorDecomposition:
-    neighbors = list(iter_bits(g.adj[u]))
-    counts: dict[int, int] = {}
-    for w in neighbors:
-        counts[c.colors[w]] = counts.get(c.colors[w], 0) + 1
-    R = frozenset(w for w in neighbors if counts[c.colors[w]] == 1)
-    S = frozenset(x for x in R if all(g.has_edge(x, y) for y in R if y != x))
-    return UniqueColorDecomposition(u=u, R=R, S=S, T=R - S)
+    adj = g.adj
+    neighbors = adj[u]
+    R = 0
+    for cls in c.classes:
+        hit = cls & neighbors
+        if hit and not hit & (hit - 1):
+            R |= hit
+    S = 0
+    rest = R
+    while rest:
+        low = rest & -rest
+        if R & ~adj[low.bit_length() - 1] == low:
+            S |= low
+        rest ^= low
+    return UniqueColorDecomposition(u, R, S, R & ~S)
+
+
+def _T_prime_mask(g: Graph, c: Coloring, d: UniqueColorDecomposition) -> int:
+    adj, classes, colors = g.adj, c.classes, c.colors
+    T = d.T_mask
+    found = 0
+    rest = T
+    while rest:
+        low = rest & -rest
+        x = low.bit_length() - 1
+        # the colors of the vertices of T that x does not see
+        others = T & ~adj[x] & ~low
+        substitute_colors = 0
+        while others:
+            y = others & -others
+            substitute_colors |= classes[colors[y.bit_length() - 1]]
+            others ^= y
+        found |= adj[x] & substitute_colors
+        rest ^= low
+    return found & _outside(g, d.u)
 
 
 def derive_T_prime(g: Graph, c: Coloring, d: UniqueColorDecomposition) -> frozenset[int]:
     """Substitute vertices outside the closed neighborhood of u: every x'
     adjacent to some x in T whose color matches another y in T with xy
     not an edge."""
-    outside = [
-        v for v in range(g.n)
-        if v != d.u and not g.has_edge(d.u, v)
-    ]
-    T = d.T
-    result = set()
-    for x_prime in outside:
-        for x in T:
-            if not g.has_edge(x_prime, x):
-                continue
-            for y in T:
-                if y != x and not g.has_edge(x, y) and c.colors[x_prime] == c.colors[y]:
-                    result.add(x_prime)
-                    break
-            if x_prime in result:
-                break
-    return frozenset(result)
+    return _vertex_set(_T_prime_mask(g, c, d))
 
 
 @dataclass(frozen=True)
 class SequenceDecomposition:
-    """The iterated substitute levels (S_l, S_l') plus the core W.
+    """The iterated substitute levels (S_l, S_l') plus the core W, as vertex
+    masks.
 
     Level 0 is (T, T').  For l >= 1, S_l takes the so-far unconsumed
     vertices of S having a non-neighbor in the previous primed set, and
@@ -265,44 +321,62 @@ class SequenceDecomposition:
     """
 
     u: int
-    levels: tuple[tuple[frozenset[int], frozenset[int]], ...]
-    W: frozenset[int]
+    level_masks: tuple[tuple[int, int], ...]
+    W_mask: int
+
+    @property
+    def levels(self) -> tuple[tuple[frozenset[int], frozenset[int]], ...]:
+        return tuple((_vertex_set(level), _vertex_set(primed))
+                     for level, primed in self.level_masks)
+
+    @property
+    def W(self) -> frozenset[int]:
+        return _vertex_set(self.W_mask)
 
     @property
     def k(self) -> int:
-        return len(self.levels) - 1
+        return len(self.level_masks) - 1
+
+    @property
+    def primed_mask(self) -> int:
+        out = 0
+        for _, primed in self.level_masks:
+            out |= primed
+        return out
 
     def primed_union(self) -> frozenset[int]:
-        out: set[int] = set()
-        for _, primed in self.levels:
-            out |= primed
-        return frozenset(out)
+        return _vertex_set(self.primed_mask)
 
 
 def build_sequence(g: Graph, c: Coloring, d: UniqueColorDecomposition) -> SequenceDecomposition:
     """The substitute levels around the apex of the decomposition ``d``."""
-    u = d.u
-    t_prime = derive_T_prime(g, c, d)
-    levels = [(d.T, t_prime)]
-    pool = set(d.S)
-    outside = [v for v in range(g.n) if v != u and not g.has_edge(u, v)]
-    prev_primed = t_prime
+    adj, classes, colors = g.adj, c.classes, c.colors
+    prev_primed = _T_prime_mask(g, c, d)
+    levels = [(d.T_mask, prev_primed)]
+    pool = d.S_mask
+    outside = _outside(g, d.u)
     while prev_primed:
-        level = {x for x in pool if any(not g.has_edge(x, y) for y in prev_primed)}
+        level = 0
+        primed = 0
+        rest = pool
+        while rest:
+            low = rest & -rest
+            x = low.bit_length() - 1
+            unseen = prev_primed & ~adj[x]
+            if unseen:
+                level |= low
+                # substitutes for x: its color, seeing a primed vertex x misses
+                reach = 0
+                while unseen:
+                    y = unseen & -unseen
+                    reach |= adj[y.bit_length() - 1]
+                    unseen ^= y
+                primed |= classes[colors[x]] & reach
+            rest ^= low
         if not level:
             break
-        primed = set()
-        for x in level:
-            beta = c.colors[x]
-            for y in prev_primed:
-                if g.has_edge(x, y):
-                    continue
-                for z in outside:
-                    if c.colors[z] == beta and g.has_edge(z, y):
-                        primed.add(z)
-        pool -= level
-        levels.append((frozenset(level), frozenset(primed)))
-        if not primed:
-            break
-        prev_primed = frozenset(primed)
-    return SequenceDecomposition(u=u, levels=tuple(levels), W=frozenset(pool))
+        primed &= outside
+        pool &= ~level
+        levels.append((level, primed))
+        prev_primed = primed
+    return SequenceDecomposition(u=d.u, level_masks=tuple(levels), W_mask=pool)

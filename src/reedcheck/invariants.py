@@ -60,6 +60,7 @@ def clique_number(g: Graph) -> int:
             cand &= ~(1 << v)
 
     expand(0, (1 << n) - 1)
+    del expand  # the closure refers to itself; dropping the name breaks the cycle
     return best
 
 
@@ -106,7 +107,9 @@ def _k_colorable(adj: tuple[int, ...], n: int, k: int) -> bool:
             return extend(rest, used + 1)
         return False
 
-    return extend((1 << n) - 1, 0)
+    colorable = extend((1 << n) - 1, 0)
+    del extend  # the closure refers to itself; dropping the name breaks the cycle
+    return colorable
 
 
 def chromatic_number(g: Graph, *, omega: int | None = None) -> int:

@@ -89,9 +89,9 @@ def has_induced(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
             cand ^= low
         return False
 
-    if extend(0):
-        return tuple(image)
-    return None
+    found = extend(0)
+    del extend  # the closure refers to itself; dropping the name breaks the cycle
+    return tuple(image) if found else None
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 import reedcheck as rc
@@ -226,6 +229,28 @@ def test_every_finding_replays_to_itself(graphs_by_n):
                             assert replay_finding(f.to_json()) == f
                             statuses.add(f.status)
     assert statuses == {"holds", "hypotheses-unmet", "gate-failed"}
+
+
+def test_check_findings_are_pinned(graphs_by_n):
+    # every finding of every statement, info included, on every policy
+    # coloring and apex of the 209 graphs with n <= 6; a whole-graph audit
+    # prints only the violated ones
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(7):
+        for g in graphs_by_n[n]:
+            chi = rc.chromatic_number(g)
+            for c in audit_colorings(g, chi)[0]:
+                for u in range(n):
+                    for statement, spec in REGISTRY.items():
+                        if spec.needs_optimal and c.color_count != chi:
+                            continue
+                        for f in check(statement, g, c, u):
+                            digest.update(json.dumps(f.to_json()).encode() + b"\n")
+                            count += 1
+    assert count == 24213
+    assert digest.hexdigest() == (
+        "0a07f807a1c2168a73281aad5c78c49d496b96c8b149d755480b1c49d266a6bf")
 
 
 def test_registry_order_is_statements():

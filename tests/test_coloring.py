@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import reedcheck as rc
 from reedcheck.coloring import Coloring, canonicalize_coloring
-from reedcheck.graphs import Graph
+from reedcheck.graphs import Graph, iter_bits
 
 C5 = Graph.cycle(5)
 APEX = Coloring((0, 1, 2, 1, 2), 3)  # u=0, t=1, x=2, y=3, t'=4
@@ -273,3 +273,100 @@ def test_level_color_coverage_is_not_universal():
     seq = rc.build_sequence(g, c, rc.unique_color_neighbors(g, c, 4))
     s1, s1p = seq.levels[1]
     assert s1 == {5} and s1p == frozenset()
+
+
+# test-local oracle: the decompositions as plain set computations ----------------
+
+def oracle_unique_color_neighbors(g, c, u):
+    """(R, S, T) around u, from color counts inside N(u)."""
+    neighbors = list(iter_bits(g.adj[u]))
+    counts = {}
+    for w in neighbors:
+        counts[c.colors[w]] = counts.get(c.colors[w], 0) + 1
+    R = frozenset(w for w in neighbors if counts[c.colors[w]] == 1)
+    S = frozenset(x for x in R if all(g.has_edge(x, y) for y in R if y != x))
+    return R, S, R - S
+
+
+def oracle_derive_T_prime(g, c, u, T):
+    outside = [v for v in range(g.n) if v != u and not g.has_edge(u, v)]
+    result = set()
+    for x_prime in outside:
+        for x in T:
+            if not g.has_edge(x_prime, x):
+                continue
+            for y in T:
+                if y != x and not g.has_edge(x, y) and c.colors[x_prime] == c.colors[y]:
+                    result.add(x_prime)
+                    break
+            if x_prime in result:
+                break
+    return frozenset(result)
+
+
+def oracle_build_sequence(g, c, u, S, T):
+    """(levels, W) of the substitute construction."""
+    t_prime = oracle_derive_T_prime(g, c, u, T)
+    levels = [(T, t_prime)]
+    pool = set(S)
+    outside = [v for v in range(g.n) if v != u and not g.has_edge(u, v)]
+    prev_primed = t_prime
+    while prev_primed:
+        level = {x for x in pool if any(not g.has_edge(x, y) for y in prev_primed)}
+        if not level:
+            break
+        primed = set()
+        for x in level:
+            beta = c.colors[x]
+            for y in prev_primed:
+                if g.has_edge(x, y):
+                    continue
+                for z in outside:
+                    if c.colors[z] == beta and g.has_edge(z, y):
+                        primed.add(z)
+        pool -= level
+        levels.append((frozenset(level), frozenset(primed)))
+        if not primed:
+            break
+        prev_primed = frozenset(primed)
+    return tuple(levels), frozenset(pool)
+
+
+def oracle_find_bicolor_path4(g, c, t, t_prime):
+    j, i = c.colors[t], c.colors[t_prime]
+    for v in iter_bits(g.adj[t]):
+        if c.colors[v] != i or v == t_prime:
+            continue
+        for w in iter_bits(g.adj[v]):
+            if c.colors[w] != j or w == t:
+                continue
+            if g.has_edge(w, t_prime):
+                return (t, v, w, t_prime), (j, i)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(9, 12), st.floats(0.1, 0.9), st.integers(0, 2**32 - 1))
+def test_decompositions_match_the_set_oracle(n, p, seed):
+    rnd = random.Random(seed)
+    g = Graph.from_edges(n, [(v, w) for v in range(n) for w in range(v + 1, n)
+                             if rnd.random() < p])
+    order = list(range(n))
+    rnd.shuffle(order)
+    c = rc.greedy_coloring(g, order)
+    for u in range(n):
+        d = rc.unique_color_neighbors(g, c, u)
+        R, S, T = oracle_unique_color_neighbors(g, c, u)
+        assert (d.u, d.R, d.S, d.T) == (u, R, S, T)
+        assert rc.derive_T_prime(g, c, d) == oracle_derive_T_prime(g, c, u, T)
+        seq = rc.build_sequence(g, c, d)
+        levels, W = oracle_build_sequence(g, c, u, S, T)
+        assert (seq.u, seq.levels, seq.W, seq.k) == (u, levels, W, len(levels) - 1)
+        assert seq.primed_union() == frozenset().union(*(primed for _, primed in levels))
+    for t in range(n):
+        for t2 in range(n):
+            if t == t2 or g.has_edge(t, t2) or c.colors[t] == c.colors[t2]:
+                continue
+            path = rc.find_bicolor_path4(g, c, t, t2)
+            expected = oracle_find_bicolor_path4(g, c, t, t2)
+            assert (path and (path.vertices, path.colors)) == expected

@@ -1,3 +1,4 @@
+import gc
 from itertools import combinations, permutations
 
 import networkx as nx
@@ -168,6 +169,21 @@ def test_hereditarity(graphs_by_n):
             for mask in range(1 << n):
                 sub = rc.induced_subgraph(g, [v for v in range(n) if (mask >> v) & 1])
                 assert rc.in_family(sub, fam).member
+
+
+def test_searches_leave_no_reference_cycles(graphs_by_n, flagc_family):
+    # the recursive searches are closures that name themselves; each call
+    # must drop that cycle, or every search leaves garbage for the collector
+    graphs = [g for n in range(7) for g in graphs_by_n[n]]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graphs:
+            rc.in_family(g, flagc_family)
+            rc.enumerate_optimal_colorings(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_odd_hole_lengths_examples():
