@@ -442,8 +442,9 @@ def audit_graph(g: Graph, bundle: InvariantBundle,
     ``bundle`` is ``invariant_bundle(g)``; omega, chi and the Reed bound
     are read from it.  Statements that need an optimal coloring (I, S1,
     S4, CLAIM, FINAL) only run on colorings that achieve chi; S2 and S3
-    run on every proper policy coloring.  Within one instance, findings
-    follow the registry order.
+    run on every proper policy coloring.  Every outcome is counted; only
+    violated ones become findings, which follow the registry order within
+    one instance.
     """
     graph6 = graph_to_graph6(g)
     if g.n > 10:
@@ -452,20 +453,21 @@ def audit_graph(g: Graph, bundle: InvariantBundle,
         raise ValueError(f"invariant bundle with n={bundle.n}, m={bundle.m} given for {graph6}")
     colorings, truncated = audit_colorings(g, bundle.chi, cap=coloring_budget)
     counters = {s: {st: 0 for st in STATUSES} for s in STATEMENTS}
-    every = [(name, counters[name], spec.outcomes) for name, spec in REGISTRY.items()]
-    any_coloring = [entry for entry in every if not REGISTRY[entry[0]].needs_optimal]
+    # the statements run on an optimal coloring, and on any other
+    runs = {optimal: [(name, counters[name], spec.outcomes) for name, spec in REGISTRY.items()
+                      if optimal or not spec.needs_optimal]
+            for optimal in (True, False)}
     violations: list[AuditFinding] = []
     gate_full_pass = 0
 
     for c in colorings:
         optimal = c.color_count == bundle.chi
-        statements = every if optimal else any_coloring
         all_gates_hold = optimal and g.n > 0
         for u in range(g.n):
             x = _Instance(g, graph6, bundle.omega, bundle.reed_bound, c,
                           unique_color_neighbors(g, c, u))
             all_gates_hold = all_gates_hold and x.gate_holds
-            for name, counter, outcomes in statements:
+            for name, counter, outcomes in runs[optimal]:
                 for status, vertices, hypothesis_failed in outcomes(x):
                     counter[status] += 1
                     if status == "violated":

@@ -213,14 +213,10 @@ def find_bicolor_path4(g: Graph, c: Coloring, t: int, t_prime: int) -> BicolorPa
     # V ranges over t's neighbors colored i (t' is not one of them), and
     # W over V's neighbors colored j that also see t' (t is not one of them)
     ends = c.classes[j] & adj[t_prime]
-    middles = c.classes[i] & adj[t]
-    while middles:
-        low = middles & -middles
-        v = low.bit_length() - 1
+    for v in iter_bits(c.classes[i] & adj[t]):
         ws = ends & adj[v]
         if ws:
             return BicolorPath((t, v, (ws & -ws).bit_length() - 1, t_prime), (j, i))
-        middles ^= low
     return None
 
 
@@ -285,19 +281,10 @@ def _T_prime_mask(g: Graph, c: Coloring, d: UniqueColorDecomposition) -> int:
     adj, classes, colors = g.adj, c.classes, c.colors
     T = d.T_mask
     found = 0
-    rest = T
-    while rest:
-        low = rest & -rest
-        x = low.bit_length() - 1
-        # the colors of the vertices of T that x does not see
-        others = T & ~adj[x] & ~low
-        substitute_colors = 0
-        while others:
-            y = others & -others
-            substitute_colors |= classes[colors[y.bit_length() - 1]]
-            others ^= y
-        found |= adj[x] & substitute_colors
-        rest ^= low
+    for x in iter_bits(T):
+        # x's neighbors colored like a vertex of T that x does not see
+        for y in iter_bits(T & ~adj[x] & ~(1 << x)):
+            found |= adj[x] & classes[colors[y]]
     return found & _outside(g, d.u)
 
 
@@ -356,23 +343,12 @@ def build_sequence(g: Graph, c: Coloring, d: UniqueColorDecomposition) -> Sequen
     pool = d.S_mask
     outside = _outside(g, d.u)
     while prev_primed:
-        level = 0
-        primed = 0
-        rest = pool
-        while rest:
-            low = rest & -rest
-            x = low.bit_length() - 1
-            unseen = prev_primed & ~adj[x]
-            if unseen:
-                level |= low
-                # substitutes for x: its color, seeing a primed vertex x misses
-                reach = 0
-                while unseen:
-                    y = unseen & -unseen
-                    reach |= adj[y.bit_length() - 1]
-                    unseen ^= y
-                primed |= classes[colors[x]] & reach
-            rest ^= low
+        level = primed = 0
+        for x in iter_bits(pool):
+            # substitutes for x: its color, next to a primed vertex x does not see
+            for y in iter_bits(prev_primed & ~adj[x]):
+                level |= 1 << x
+                primed |= classes[colors[x]] & adj[y]
         if not level:
             break
         primed &= outside
