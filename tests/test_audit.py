@@ -253,6 +253,49 @@ def test_check_findings_are_pinned(graphs_by_n):
         "0a07f807a1c2168a73281aad5c78c49d496b96c8b149d755480b1c49d266a6bf")
 
 
+def _mycielski(g):
+    n = g.n
+    edges = list(g.edges())
+    for v, w in g.edges():
+        edges += [(v, n + w), (w, n + v)]
+    edges += [(n + v, 2 * n) for v in range(n)]
+    return Graph.from_edges(2 * n + 1, edges)
+
+
+def test_statements_past_the_gate():
+    # passing the gate needs chi >= omega + 3 wherever the Reed bound holds,
+    # and no graph audited at n <= 8 passes it; the Mycielski graph of the
+    # Groetzsch graph (n = 23, omega 2, chi 5) does at its hub under these
+    # 5-colorings (shadows of one color but three, each of those colored
+    # like its original)
+    g = _mycielski(_mycielski(C5))
+    hub = 22
+    cases = {
+        (1, 2, 1, 2, 3, 1, 2, 1, 2, 3, 4, 1, 2, 0, 0, 3, 0, 0, 0, 0, 0, 0, 4):
+            ([11, 12, 15], tuple(range(10)), True),
+        (3, 4, 3, 1, 4, 0, 4, 0, 0, 0, 3, 2, 4, 2, 2, 2, 2, 1, 2, 2, 0, 2, 3):
+            ([12, 17, 20], (3, 5, 7), False),
+    }
+    for colors, (R, substitutes, covered) in cases.items():
+        c = Coloring(colors, 5)
+        findings = {s: check(s, g, c, hub) for s in ("I", "S1", "S4", "CLAIM", "FINAL")}
+        assert [(s, f.status, f.hypothesis_failed) for s, [f] in findings.items()] == [
+            ("I", "holds", None), ("S1", "holds", None), ("S4", "violated", None),
+            ("CLAIM", "violated", None), ("FINAL", "hypotheses-unmet", "claim-completeness")]
+        assert findings["I"][0].info["R"] == findings["S1"][0].info["T"] == R
+        [s4] = findings["S4"]
+        assert s4.vertices == substitutes
+        assert s4.info == {"T_prime": list(substitutes), "S1_prime": [],
+                           "t_prime_complete": False}
+        [claim] = findings["CLAIM"]
+        assert claim.vertices == substitutes
+        assert claim.info == {"members": list(substitutes), "complete": False,
+                              "colors_cover_R": covered, "size": len(substitutes),
+                              "R_size": 3, "omega": 2}
+        for [f] in findings.values():
+            assert replay_finding(f.to_json()) == f
+
+
 def test_registry_order_is_statements():
     assert STATEMENTS == ("I", "S1", "S2", "S3", "S4", "CLAIM", "FINAL")
     with pytest.raises(ValueError):
