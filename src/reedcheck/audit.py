@@ -215,7 +215,14 @@ def _gate_info(x: _Instance, vertices, hypothesis_failed) -> dict:
 
 
 def _statement_1(x: _Instance) -> list[Outcome]:
-    """Past the gate, |T| >= 2 unless T is empty and R already is a big clique."""
+    """Past the gate, |T| >= 2 unless T is empty and R already is a big clique.
+
+    With the exact omega this always holds: the gate gives |R| >= omega + 1,
+    and then |T| >= 3.  If T were empty, R and u would form a clique of
+    |R| + 1 vertices.  |T| = 1 cannot happen: a vertex of T misses some r
+    in R, and then r is in T too.  If |T| = 2, S, one vertex of T and u
+    would form a clique of |R| vertices.  Both cliques exceed omega.
+    """
     if not x.gate_holds:
         return [_GATE_UNMET]
     # the gate already gives |R| >= omega + 1

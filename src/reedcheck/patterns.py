@@ -8,12 +8,18 @@ the name ``FlagC`` together with its complement ``Flag``, plus the usual
 small patterns P5, C4, C5, 2K2, 3K1 and P3+K1.
 
 Detection is a backtracking search over bitset candidate sets: the
-candidates for the next pattern vertex are the host vertices of large
-enough degree, ANDed with the neighbor row of each placed image the
-pattern vertex is adjacent to and with the non-neighbor row of every
-other placed image.  Candidates are taken lowest bit first, so the search
-returns the lexicographically least witness, which keeps certificates
-reproducible; patterns here have at most 10 vertices.
+candidates for the next pattern vertex are the host vertices whose degree
+lies in the vertex's two-sided window, ANDed with the neighbor row of each
+placed image the pattern vertex is adjacent to and with the non-neighbor
+row of every other placed image.  A pattern vertex of degree d in a
+k-vertex pattern needs a host vertex with at least d neighbors (its
+neighbors' images) and at least k-1-d non-neighbors (its non-neighbors'
+images), so in an n-vertex host its degree lies in [d, n-k+d] (Ullmann's
+degree refinement, taken from both sides as an induced copy allows).
+Candidates are taken lowest bit first, so the search returns the
+lexicographically least witness, which keeps certificates reproducible;
+the window removes only host vertices that no induced embedding uses, so
+it leaves that witness unchanged.  Patterns here have at most 10 vertices.
 """
 
 from __future__ import annotations
@@ -73,7 +79,14 @@ def has_induced(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
         at_least[hadj[w].bit_count()] |= 1 << w
     for d in range(n - 1, -1, -1):
         at_least[d] |= at_least[d + 1]
-    allowed = [at_least[padj[v].bit_count()] for v in range(k)]
+    # an induced copy maps a pattern vertex of degree d to a host vertex
+    # adjacent to the d images of its neighbors and non-adjacent to the
+    # k-1-d images of its non-neighbors, so the host degree lies in
+    # [d, n-k+d] (and n-k+d+1 <= n).  The window drops only vertices that no
+    # embedding uses, so the embeddings, their order and the least witness
+    # are unchanged.
+    allowed = [at_least[d] & ~at_least[n - k + d + 1]
+               for d in (row.bit_count() for row in padj)]
     image = [0] * k
 
     def extend(v: int) -> bool:

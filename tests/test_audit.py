@@ -296,6 +296,40 @@ def test_statements_past_the_gate():
             assert replay_finding(f.to_json()) == f
 
 
+def test_final_violated_on_a_star_gadget():
+    # the Mycielski graph of the Groetzsch graph sets chi = 5 (omega 2); a
+    # disjoint K1,11 sets Delta = 11 (bound 7) and frees its center's
+    # neighborhood: leaves colored 1, 2, 3 and eight times 4 give R = the
+    # first three leaves, an independent set, and no substitutes at all
+    mycielski = _mycielski(_mycielski(C5))
+    center, leaves = 23, range(24, 35)
+    g = Graph.from_edges(35, list(mycielski.edges()) + [(center, v) for v in leaves])
+    first = (1, 2, 1, 2, 3, 1, 2, 1, 2, 3, 4, 1, 2, 0, 0, 3, 0, 0, 0, 0, 0, 0, 4)
+    c = Coloring(first + (0, 1, 2, 3) + (4,) * 8, 5)
+    findings = {s: check(s, g, c, center) for s in STATEMENTS}
+    assert [(s, f.status, f.vertices, f.hypothesis_failed)
+            for s, fs in findings.items() for f in fs] == [
+        ("I", "holds", (), None), ("S1", "holds", (), None),
+        *[("S2", "hypotheses-unmet", pair, "bicolor-path4")
+          for pair in ((24, 25), (24, 26), (25, 24), (25, 26), (26, 24), (26, 25))],
+        *[("S3", "hypotheses-unmet", triple, "bicolor-path4")
+          for triple in ((24, 25, 26), (25, 24, 26), (26, 24, 25))],
+        ("S4", "hypotheses-unmet", (), "T-prime-empty"),
+        ("CLAIM", "violated", (), None), ("FINAL", "violated", (), None)]
+    [gate] = findings["I"]
+    assert gate.info == {"R": [24, 25, 26], "deg_u": 11, "reed_bound": 7, "omega": 2,
+                         "degree_condition": True, "size_condition": True}
+    assert findings["S1"][0].info == {"T": [24, 25, 26], "R": [24, 25, 26]}
+    assert findings["S4"][0].info == {"T_prime": [], "S1_prime": [], "t_prime_complete": True}
+    # the empty set counts as complete, so FINAL fails on coverage alone
+    for s in ("CLAIM", "FINAL"):
+        assert findings[s][0].info == {"members": [], "complete": True, "colors_cover_R": False,
+                                       "size": 0, "R_size": 3, "omega": 2}
+    for fs in findings.values():
+        for f in fs:
+            assert replay_finding(f.to_json()) == f
+
+
 def test_registry_order_is_statements():
     assert STATEMENTS == ("I", "S1", "S2", "S3", "S4", "CLAIM", "FINAL")
     with pytest.raises(ValueError):

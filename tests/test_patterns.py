@@ -109,13 +109,15 @@ def test_witness_is_induced_and_least(graphs_by_n):
                 assert rc.has_induced(g, pattern) == expected, (name, rc.graph_to_graph6(g))
 
 
-@st.composite
-def _random_hosts(draw):
-    n = draw(st.integers(8, 14))
-    density = draw(st.floats(0.1, 0.95))
+def _gnp(draw, n, density):
     pairs = list(combinations(range(n), 2))
     coins = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
     return Graph.from_edges(n, [e for e, coin in zip(pairs, coins) if coin < density])
+
+
+@st.composite
+def _random_hosts(draw):
+    return _gnp(draw, draw(st.integers(8, 14)), draw(st.floats(0.1, 0.95)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -130,6 +132,68 @@ def test_has_induced_agrees_with_networkx(host):
         if witness is not None:
             assert len(set(witness)) == pattern.n
             assert _is_order_exact(host, pattern, witness), name
+
+
+def _oracle_has_induced(host, pattern):
+    """The search with the one-sided degree filter: host degree >= pattern degree."""
+    k, n = pattern.n, host.n
+    if k > n:
+        return None
+    if k == 0:
+        return ()
+    hadj = host.adj
+    padj = pattern.adj
+    full = (1 << n) - 1
+    non_adj = [full & ~(hadj[w] | (1 << w)) for w in range(n)]
+    at_least = [0] * (n + 1)
+    for w in range(n):
+        at_least[hadj[w].bit_count()] |= 1 << w
+    for d in range(n - 1, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    allowed = [at_least[padj[v].bit_count()] for v in range(k)]
+    image = [0] * k
+
+    def extend(v):
+        cand = allowed[v]
+        row = padj[v]
+        for u in range(v):
+            cand &= hadj[image[u]] if (row >> u) & 1 else non_adj[image[u]]
+        while cand:
+            low = cand & -cand
+            image[v] = low.bit_length() - 1
+            if v + 1 == k or extend(v + 1):
+                return True
+            cand ^= low
+        return False
+
+    found = extend(0)
+    del extend
+    return tuple(image) if found else None
+
+
+@st.composite
+def _dense_hosts_and_patterns(draw):
+    host = _gnp(draw, draw(st.integers(8, 14)), draw(st.floats(0.6, 1.0)))
+    k = draw(st.sampled_from((6, 5, 4, 3, 2, 1)))  # larger patterns first
+    pattern = _gnp(draw, k, draw(st.floats(0, 1)))
+    # an isolated or a universal vertex sits at either end of the window
+    extreme = draw(st.sampled_from((None, "isolated", "universal")))
+    if extreme is not None:
+        v = draw(st.integers(0, k - 1))
+        edges = [e for e in pattern.edges() if v not in e]
+        if extreme == "universal":
+            edges += [(v, w) for w in range(k) if w != v]
+        pattern = Graph.from_edges(k, edges)
+    return host, pattern
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dense_hosts_and_patterns())
+def test_has_induced_matches_the_one_sided_oracle(case):
+    # the two-sided degree window drops only vertices no embedding uses, so
+    # the least witness is the one the one-sided filter finds
+    host, pattern = case
+    assert rc.has_induced(host, pattern) == _oracle_has_induced(host, pattern)
 
 
 def test_in_family_examples():
