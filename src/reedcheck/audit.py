@@ -373,11 +373,14 @@ def _finding(statement: str, x: _Instance, status: str, vertices: tuple[int, ...
 def check(statement: str, g: Graph, c: Coloring, u: int) -> list[AuditFinding]:
     """Findings of one registered statement on the instance (g, c, u).
 
-    Raises ValueError for an unknown statement, an improper coloring, or a
-    coloring short of optimal when the statement needs an optimal one.
+    Raises ValueError for an unknown statement, an apex outside the graph,
+    an improper coloring, or a coloring short of optimal when the statement
+    needs an optimal one.
     """
     if statement not in REGISTRY:
         raise ValueError(f"unknown statement {statement!r}")
+    if not 0 <= u < g.n:
+        raise ValueError(f"apex {u} outside 0..{g.n - 1}")
     if not is_proper(g, c):
         raise ValueError("coloring is not proper")
     omega = clique_number(g)
@@ -402,7 +405,9 @@ def audit_colorings(g: Graph, chi: int,
                     cap: int = DEFAULT_COLORING_CAP) -> tuple[tuple[Coloring, ...], bool]:
     """The audit coloring policy: all canonical optimal colorings (capped)
     for n <= 7, first-fit colorings from every vertex rotation above that.
-    ``chi`` must be the chromatic number of ``g``."""
+    ``chi`` must be the chromatic number of ``g``.  The default cap is never
+    reached: no graph with n <= 7 has more than 81 canonical optimal
+    colorings, and the cap is not used above that."""
     if cap < 1:
         raise ValueError(f"coloring cap must be at least 1, got {cap}")
     if g.n <= 7:

@@ -17,15 +17,15 @@ import argparse
 import json
 import sys
 
-from .audit import audit_graph
+from .audit import DEFAULT_COLORING_CAP, audit_graph
 from .corpus import MAX_ENUMERATION_N, Graph6Stream, sweep, sweep_stream
 from .graphs import Graph6Error, graph_from_graph6, graph_to_graph6
 from .invariants import invariant_bundle
 from .patterns import FAMILIES, FamilySpec, builtin_pattern, catalog_names, in_family
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A bad option or input; ``main`` reports it like any other ValueError."""
 
 
 # latin-1 decodes every byte, so a non-ASCII line reaches the graph6
@@ -93,8 +93,6 @@ def _input_graphs(args) -> tuple[list[tuple[str, object]], int]:
                 skipped += len(stream.skipped)
         except OSError as exc:
             raise UsageError(f"cannot read {args.source}: {exc}") from exc
-        except Graph6Error as exc:
-            raise UsageError(str(exc)) from exc
     if not labeled and skipped == 0:
         raise UsageError("no input graphs; pass graph6 strings or --source FILE")
     return labeled, skipped
@@ -174,8 +172,6 @@ def cmd_sweep(args) -> int:
                                       audit=args.audit, workers=args.workers)
         except OSError as exc:
             raise UsageError(f"cannot read {args.source}: {exc}") from exc
-        except Graph6Error as exc:
-            raise UsageError(str(exc)) from exc
     payload = report.to_json()
     if args.pretty:
         lines = [
@@ -266,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="statement-by-statement audit per graph")
     _add_io_flags(p)
     _add_family_flags(p, default="p5-flagc")
-    p.add_argument("--cap", type=int, default=10_000,
-                   help="optimal-coloring budget per graph (default 10000)")
+    p.add_argument("--cap", type=int, default=DEFAULT_COLORING_CAP,
+                   help="optimal-coloring budget per graph (default %(default)s)")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("patterns", help="list the builtin pattern catalog")
@@ -283,10 +279,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (Graph6Error, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -102,8 +102,11 @@ def enumerate_optimal_colorings(g: Graph, cap: int | None = None, *,
     order of the color vector.
 
     ``chi``, when given, must be ``chromatic_number(g)``; it saves
-    recomputing it.
+    recomputing it.  ``cap``, when given, must be at least 1; ``None``
+    means no cap.
     """
+    if cap is not None and cap < 1:
+        raise ValueError(f"coloring cap must be at least 1, got {cap}")
     if g.n > 10:
         raise ValueError("optimal-coloring enumeration is limited to 10 vertices")
     k = chromatic_number(g) if chi is None else chi

@@ -21,11 +21,14 @@ graph only when its parent (the graph on its first n-1 vertices, which it
 was extended from) is a member; the rest are counted as examined without
 a search.  A graph6 stream need not contain the parents of its graphs,
 so a stream sweep tests every line.  Work is partitioned into contiguous
-chunks of the stream, or of an internal sweep's members.  One fold adds
-totals up: each member's into its chunk's, and the chunks' into the
-sweep's in chunk order.  The capped lists (20 tight exemplars, 100
-audit certificates) therefore keep the first entries of the stream, and
-reports are byte-identical for any worker count.
+chunks of the stream, or of an internal sweep's members.  Totals have
+one shape, :class:`SweepReport`, whether they cover one member, one
+chunk or the whole sweep, and one fold adds them up: each member's into
+its chunk's, and the chunks' into the sweep's in chunk order.  The
+capped lists (20 tight exemplars, 100 audit certificates) therefore keep
+the first entries of the stream, and reports are byte-identical for any
+worker count.  Audits in a sweep use the default coloring cap, which no
+graph a sweep can audit reaches (see ``audit_colorings``).
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .audit import DEFAULT_COLORING_CAP, STATEMENTS, STATUSES, AuditReport, audit_graph
+from .audit import STATEMENTS, STATUSES, AuditReport, audit_graph
 from .graphs import (Graph, Graph6Error, _column_bits, graph_from_graph6, graph_to_graph6,
                      is_min_labeled)
 from .invariants import InvariantBundle, invariant_bundle
@@ -124,19 +127,24 @@ class Graph6Stream:
 
 @dataclass
 class SweepReport:
-    """Aggregate of one family sweep; violation lists carry full certificates."""
+    """Totals of a family sweep, or of one part of it (one member, one chunk
+    of the stream); violation lists carry full certificates.
+
+    Each total equals the sum of its ``per_n`` rows: only :meth:`count`
+    adds to either, and :meth:`fold` adds a part through it.
+    """
 
     family: str
-    n_max: int | None
-    examined: int
-    members: int
-    per_n: dict[int, dict[str, int]]
-    violations: list[dict]
-    tight_count: int
-    tight_exemplars: list[str]
-    audit: dict | None
-    skipped_lines: int
-    wall_time_s: float
+    n_max: int | None = None
+    examined: int = 0
+    members: int = 0
+    per_n: dict[int, dict[str, int]] = field(default_factory=dict)
+    violations: list[dict] = field(default_factory=list)
+    tight_count: int = 0
+    tight_exemplars: list[str] = field(default_factory=list)
+    audit: dict | None = None
+    skipped_lines: int = 0
+    wall_time_s: float = 0.0
 
     def to_json(self) -> dict:
         return {
@@ -154,46 +162,50 @@ class SweepReport:
             "wall_time_s": self.wall_time_s,
         }
 
+    def count(self, n: int, examined: int = 1, members: int = 0, tight: int = 0) -> None:
+        """Count graphs on ``n`` vertices into their ``per_n`` row and the totals."""
+        row = self.per_n.setdefault(n, {"examined": 0, "members": 0, "tight": 0})
+        row["examined"] += examined
+        row["members"] += members
+        row["tight"] += tight
+        self.examined += examined
+        self.members += members
+        self.tight_count += tight
 
-def _new_part(audit: bool) -> dict:
-    """Sweep totals over no graphs."""
-    return {
-        "examined": 0,
-        "members": 0,
-        "per_n": {},
-        "violations": [],
-        "tight_count": 0,
-        "tight": [],
-        "audit": {
-            "instances": {s: dict.fromkeys(STATUSES, 0) for s in STATEMENTS},
-            "violated_certificates": [],
-            "violated_total": 0,
-            "gate_full_pass_members": [],
-            "colorings_truncated": 0,
-        } if audit else None,
-    }
+    def fold(self, part: SweepReport) -> None:
+        """Add ``part`` into these totals.  Parts are folded in stream order,
+        so the capped lists keep the first exemplars and certificates of the
+        stream."""
+        for n, row in part.per_n.items():
+            self.count(n, row["examined"], row["members"], row["tight"])
+        self.violations.extend(part.violations)
+        self.tight_exemplars.extend(
+            part.tight_exemplars[:_EXEMPLAR_CAP - len(self.tight_exemplars)])
+        src, dst = part.audit, self.audit
+        if src is None:
+            return
+        for s in STATEMENTS:
+            for st in STATUSES:
+                dst["instances"][s][st] += src["instances"][s][st]
+        dst["violated_total"] += src["violated_total"]
+        certs = dst["violated_certificates"]
+        certs.extend(src["violated_certificates"][:_AUDIT_CERT_CAP - len(certs)])
+        dst["gate_full_pass_members"].extend(src["gate_full_pass_members"])
+        dst["colorings_truncated"] += src["colorings_truncated"]
 
 
-def _per_n_row(part: dict, n: int) -> dict:
-    return part["per_n"].setdefault(n, {"examined": 0, "members": 0, "tight": 0})
-
-
-def _member_part(g: Graph, bundle: InvariantBundle, report: AuditReport | None) -> dict:
+def _member_part(family: str, g: Graph, bundle: InvariantBundle,
+                 report: AuditReport | None) -> SweepReport:
     """Sweep totals over the single member ``g``."""
     tight = int(bundle.slack == 0)
     # encode only the graphs the report prints; an audit has encoded its graph already
     g6 = report.graph6 if report else (graph_to_graph6(g) if bundle.slack <= 0 else None)
-    part = {
-        "examined": 1,
-        "members": 1,
-        "per_n": {g.n: {"examined": 1, "members": 1, "tight": tight}},
-        "violations": [{"graph6": g6, **bundle.to_json()}] if bundle.slack < 0 else [],
-        "tight_count": tight,
-        "tight": [g6] if tight else [],
-        "audit": None,
-    }
+    part = SweepReport(family,
+                       violations=[{"graph6": g6, **bundle.to_json()}] if bundle.slack < 0 else [],
+                       tight_exemplars=[g6] if tight else [])
+    part.count(g.n, members=1, tight=tight)
     if report:
-        part["audit"] = {
+        part.audit = {
             "instances": report.counters,
             "violated_certificates": [f.to_json() for f in report.violations[:_AUDIT_CERT_CAP]],
             "violated_total": len(report.violations),
@@ -203,86 +215,67 @@ def _member_part(g: Graph, bundle: InvariantBundle, report: AuditReport | None) 
     return part
 
 
-def _fold(total: dict, part: dict) -> None:
-    """Add ``part`` into ``total``.  Parts are folded in stream order, so the
-    capped lists keep the first exemplars and certificates of the stream."""
-    total["examined"] += part["examined"]
-    total["members"] += part["members"]
-    for n, row in part["per_n"].items():
-        dst = _per_n_row(total, n)
-        for key in dst:
-            dst[key] += row[key]
-    total["violations"].extend(part["violations"])
-    total["tight_count"] += part["tight_count"]
-    total["tight"].extend(part["tight"][:_EXEMPLAR_CAP - len(total["tight"])])
-    src, dst = part["audit"], total["audit"]
-    if src is None:
-        return
-    for s in STATEMENTS:
-        for st in STATUSES:
-            dst["instances"][s][st] += src["instances"][s][st]
-    dst["violated_total"] += src["violated_total"]
-    certs = dst["violated_certificates"]
-    certs.extend(src["violated_certificates"][:_AUDIT_CERT_CAP - len(certs)])
-    dst["gate_full_pass_members"].extend(src["gate_full_pass_members"])
-    dst["colorings_truncated"] += src["colorings_truncated"]
-
-
-def _sweep_chunk(args) -> dict:
-    family, graphs, audit, coloring_cap, members_only = args
-    part = _new_part(audit)
+def _sweep_chunk(args) -> SweepReport:
+    family, graphs, audit, members_only = args
+    part = SweepReport(family.name, audit={
+        "instances": {s: dict.fromkeys(STATUSES, 0) for s in STATEMENTS},
+        "violated_certificates": [],
+        "violated_total": 0,
+        "gate_full_pass_members": [],
+        "colorings_truncated": 0,
+    } if audit else None)
     for g in graphs:
         if members_only or in_family(g, family).member:
             bundle = invariant_bundle(g)
-            report = audit_graph(g, bundle, coloring_budget=coloring_cap) if audit else None
-            _fold(part, _member_part(g, bundle, report))
+            report = audit_graph(g, bundle) if audit else None
+            part.fold(_member_part(family.name, g, bundle, report))
         else:
-            # most graphs are not members: count them without building a part
-            part["examined"] += 1
-            _per_n_row(part, g.n)["examined"] += 1
+            part.count(g.n)
     return part
 
 
 def _run_chunks(family: FamilySpec, graphs: list[Graph], audit: bool,
-                workers: int, coloring_cap: int, members_only: bool = False) -> dict:
+                workers: int, members_only: bool = False) -> SweepReport:
     """Sweep totals over ``graphs``; with ``members_only`` every graph is
     already known to be a member and is not tested again."""
     if workers <= 1 or len(graphs) < 2 * workers:
-        return _sweep_chunk((family, graphs, audit, coloring_cap, members_only))
+        return _sweep_chunk((family, graphs, audit, members_only))
     chunk_size = max(1, (len(graphs) + workers * 4 - 1) // (workers * 4))
     chunks = [
-        (family, graphs[i:i + chunk_size], audit, coloring_cap, members_only)
+        (family, graphs[i:i + chunk_size], audit, members_only)
         for i in range(0, len(graphs), chunk_size)
     ]
     with multiprocessing.Pool(min(workers, os.cpu_count() or 1, len(chunks))) as pool:
-        parts = pool.map(_sweep_chunk, chunks)
-    total = _new_part(audit)
+        total, *parts = pool.map(_sweep_chunk, chunks)
     for part in parts:
-        _fold(total, part)
+        total.fold(part)
     return total
 
 
-def sweep(family: FamilySpec, n_max: int, *, audit: bool = False, workers: int = 1,
-          coloring_cap: int = DEFAULT_COLORING_CAP) -> SweepReport:
+def sweep(family: FamilySpec, n_max: int, *, audit: bool = False,
+          workers: int = 1) -> SweepReport:
     """Verify the Reed bound over every family member with at most ``n_max``
     vertices (internal enumeration; n_max <= 9)."""
     if not 0 <= n_max <= MAX_ENUMERATION_N:
         raise ValueError(f"n_max must be within 0..{MAX_ENUMERATION_N}")
     start = time.monotonic()
-    total = _new_part(audit)
-    members = _hereditary_members(family, n_max, total)
-    _fold(total, _run_chunks(family, members, audit, workers, coloring_cap, members_only=True))
-    return _finish_report(family, n_max, total, skipped=0, start=start)
+    untested = SweepReport(family.name)
+    members = _hereditary_members(family, n_max, untested)
+    report = _run_chunks(family, members, audit, workers, members_only=True)
+    report.fold(untested)
+    report.n_max = n_max
+    report.wall_time_s = time.monotonic() - start
+    return report
 
 
-def _hereditary_members(family: FamilySpec, n_max: int, total: dict) -> list[Graph]:
+def _hereditary_members(family: FamilySpec, n_max: int, untested: SweepReport) -> list[Graph]:
     """The members with at most ``n_max`` vertices, in enumeration order.
 
     Membership is decided level by level.  A graph's parent is the graph on
     its first n-1 vertices, which orderly extension built it from; since the
     family is hereditary, a child of a non-member is no member and is not
-    tested.  Every graph that is not returned is counted into ``total`` as
-    examined.
+    tested.  Every graph that is not returned is counted into ``untested``
+    as examined.
     """
     members: list[Graph] = []
     # adjacency rows of the previous level's members; the empty graph's
@@ -297,34 +290,18 @@ def _hereditary_members(family: FamilySpec, n_max: int, total: dict) -> list[Gra
                     and in_family(g, family).member):
                 members.append(g)
                 level.add(g.adj)
-        _per_n_row(total, n)["examined"] += len(graphs) - len(level)
-        total["examined"] += len(graphs) - len(level)
+        untested.count(n, examined=len(graphs) - len(level))
         parents = level
     return members
 
 
 def sweep_stream(family: FamilySpec, lines, *, strict: bool = True, audit: bool = False,
-                 workers: int = 1, coloring_cap: int = DEFAULT_COLORING_CAP) -> SweepReport:
+                 workers: int = 1) -> SweepReport:
     """Same verification over an external graph6 stream (one graph per line)."""
     start = time.monotonic()
     stream = Graph6Stream(lines, strict=strict)
     graphs = [g for _, g in stream]
-    total = _run_chunks(family, graphs, audit, workers, coloring_cap)
-    return _finish_report(family, None, total, skipped=len(stream.skipped), start=start)
-
-
-def _finish_report(family: FamilySpec, n_max: int | None, total: dict,
-                   skipped: int, start: float) -> SweepReport:
-    return SweepReport(
-        family=family.name,
-        n_max=n_max,
-        examined=total["examined"],
-        members=total["members"],
-        per_n=total["per_n"],
-        violations=total["violations"],
-        tight_count=total["tight_count"],
-        tight_exemplars=total["tight"],
-        audit=total["audit"],
-        skipped_lines=skipped,
-        wall_time_s=time.monotonic() - start,
-    )
+    report = _run_chunks(family, graphs, audit, workers)
+    report.skipped_lines = len(stream.skipped)
+    report.wall_time_s = time.monotonic() - start
+    return report

@@ -330,6 +330,55 @@ def test_final_violated_on_a_star_gadget():
             assert replay_finding(f.to_json()) == f
 
 
+def test_statements_past_the_gate_with_S_nonempty():
+    # S is nonempty only if an edge inside R closes a triangle with u, so
+    # omega >= 3 and, past the gate, chi >= 6: M^3(K3) (n = 31, omega 3,
+    # chi 6) sets chi, and a disjoint gadget sets Delta = 16 (bound 10) at
+    # u = 31, where R = {s = 32} + T = {33, 34, 35} and s meets all of T;
+    # the path 33-48-49 gives T' = {48} (colored like 34, next to 33) and,
+    # since s misses 48, the level-1 substitute 49 (colored like s)
+    mycielski = _mycielski(_mycielski(_mycielski(Graph.complete(3))))
+    u, s, leaves = 31, 32, (33, 34, 35)
+    g = Graph.from_edges(50, list(mycielski.edges()) + [(u, v) for v in range(32, 48)]
+                         + [(s, v) for v in leaves] + [(33, 48), (48, 49)])
+    first = (0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 0, 1, 2, 3, 4, 0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 0, 1, 2,
+             3, 4, 5)
+    c = Coloring(first + (0, 1, 2, 3, 4) + (5,) * 12 + (3, 1), 6)
+    findings = {s: check(s, g, c, u) for s in STATEMENTS}
+    assert [(s, f.status, f.vertices, f.hypothesis_failed)
+            for s, fs in findings.items() for f in fs] == [
+        ("I", "holds", (), None), ("S1", "holds", (), None),
+        *[("S2", "hypotheses-unmet", pair, "bicolor-path4")
+          for pair in ((33, 34), (33, 35), (34, 33), (34, 35), (35, 33), (35, 34))],
+        *[("S3", "hypotheses-unmet", triple, "bicolor-path4")
+          for triple in ((33, 34, 35), (34, 33, 35), (35, 33, 34))],
+        ("S4", "holds", (48, 49), None),
+        ("CLAIM", "violated", (48, 49), None), ("FINAL", "violated", (48, 49), None)]
+    [gate] = findings["I"]
+    assert gate.info == {"R": [32, 33, 34, 35], "deg_u": 16, "reed_bound": 10, "omega": 3,
+                         "degree_condition": True, "size_condition": True}
+    assert findings["S1"][0].info == {"T": [33, 34, 35], "R": [32, 33, 34, 35]}
+    # the level-1 substitute 49 is part of S4's target, next to T' = [48]
+    assert findings["S4"][0].info == {"T_prime": [48], "S1_prime": [49],
+                                      "t_prime_complete": True}
+    for s in ("CLAIM", "FINAL"):
+        assert findings[s][0].info == {"members": [48, 49], "complete": True,
+                                       "colors_cover_R": False, "size": 2, "R_size": 4,
+                                       "omega": 3}
+    for fs in findings.values():
+        for f in fs:
+            assert replay_finding(f.to_json()) == f
+
+
+@pytest.mark.parametrize("u", [-1, 5])
+def test_check_rejects_an_apex_outside_the_graph(u):
+    with pytest.raises(ValueError, match="apex"):
+        check("I", C5, APEX, u)
+    certificate = {**check("I", C5, APEX, 0)[0].to_json(), "u": u}
+    with pytest.raises(ValueError, match="apex"):
+        replay_finding(certificate)
+
+
 def test_registry_order_is_statements():
     assert STATEMENTS == ("I", "S1", "S2", "S3", "S4", "CLAIM", "FINAL")
     with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import random
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -256,3 +259,23 @@ def test_no_input_is_usage_error(capsys):
 def test_bad_graph6_argument(capsys):
     code, _, err = run(capsys, "invariants", "!!nope")
     assert code == 2
+
+
+def _readme_commands():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return [shlex.split(line)[1:]
+            for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+            for line in block.splitlines() if line.startswith("reedcheck ")]
+
+
+def test_readme_cli_block_runs(capsys):
+    commands = _readme_commands()
+    assert [argv[0] for argv in commands] == [
+        "invariants", "classify", "sweep", "sweep", "audit", "patterns"]
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        if argv[0] == "classify":
+            [row] = ndjson(out)
+            assert (row["graph6"], row["member"], row["witness"]["pattern"]) == (
+                "EhEG", False, "P5")

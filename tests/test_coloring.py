@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reedcheck as rc
+from reedcheck.audit import audit_colorings
 from reedcheck.coloring import Coloring, canonicalize_coloring
 from reedcheck.graphs import Graph, iter_bits
 
@@ -77,6 +78,19 @@ def test_enumeration_cap_sets_truncation_flag():
     assert len(full.colorings) == 27 and not full.truncated
     capped = rc.enumerate_optimal_colorings(g, cap=10)
     assert len(capped.colorings) == 10 and capped.truncated
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_coloring_caps_below_one_are_rejected(cap):
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2)])
+    one = rc.enumerate_optimal_colorings(g, cap=1)
+    assert len(one.colorings) == 1 and one.truncated
+    with pytest.raises(ValueError, match="at least 1"):
+        rc.enumerate_optimal_colorings(g, cap=cap)
+    # the audit policy rejects it for n >= 8 too, where no enumeration runs
+    for h in (g, Graph.cycle(8)):
+        with pytest.raises(ValueError, match="at least 1"):
+            audit_colorings(h, rc.chromatic_number(h), cap=cap)
 
 
 # Kempe machinery -------------------------------------------------------------

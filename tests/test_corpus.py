@@ -5,7 +5,6 @@ import pytest
 
 import reedcheck as rc
 from reedcheck import corpus
-from reedcheck.audit import DEFAULT_COLORING_CAP
 from reedcheck.corpus import Graph6Stream
 from reedcheck.graphs import Graph, Graph6Error, graph_to_graph6, induced_subgraph, is_min_labeled
 
@@ -152,9 +151,9 @@ def fake_pool(monkeypatch):
 
 def test_pool_size_is_capped_by_cpu_count(flagc_family, graphs_by_n, fake_pool):
     graphs = [g for n in range(6) for g in graphs_by_n[n]]
-    serial = corpus._run_chunks(flagc_family, graphs, False, 1, 10)
-    assert corpus._run_chunks(flagc_family, graphs, False, 8, 10) == serial
-    assert corpus._run_chunks(flagc_family, graphs, False, 2, 10) == serial
+    serial = corpus._run_chunks(flagc_family, graphs, False, 1)
+    assert corpus._run_chunks(flagc_family, graphs, False, 8) == serial
+    assert corpus._run_chunks(flagc_family, graphs, False, 2) == serial
     assert fake_pool == [3, 2]
 
 
@@ -162,10 +161,10 @@ def test_audit_totals_merge_across_chunks(graphs_by_n, fake_pool):
     everything = rc.FamilySpec("all-graphs", ())
     graphs = [g for n in range(8) for g in graphs_by_n[n]]
     assert len(graphs) == 1253
-    serial = corpus._run_chunks(everything, graphs, True, 1, DEFAULT_COLORING_CAP)
-    assert corpus._run_chunks(everything, graphs, True, 3, DEFAULT_COLORING_CAP) == serial
+    serial = corpus._run_chunks(everything, graphs, True, 1)
+    assert corpus._run_chunks(everything, graphs, True, 3) == serial
     assert fake_pool == [3]
-    audit = serial["audit"]
+    audit = serial.audit
     assert audit["violated_total"] == 304
     # the certificate cap keeps the first 100 certificates of the stream
     first = []
@@ -203,11 +202,11 @@ def test_hereditary_sweep_equals_filter_after_enumerate(family, graphs_by_n, fak
         assert report.per_n[n]["members"] == sum(
             rc.in_family(g, family).member for g in graphs_by_n[n])
     # the same totals as testing every enumerated graph inside the chunks
-    filtered = corpus._run_chunks(family, graphs, False, 1, DEFAULT_COLORING_CAP)
+    filtered = corpus._run_chunks(family, graphs, False, 1)
     assert (report.examined, report.members, report.per_n, report.violations,
             report.tight_count, report.tight_exemplars) == (
-        filtered["examined"], filtered["members"], filtered["per_n"], filtered["violations"],
-        filtered["tight_count"], filtered["tight"])
+        filtered.examined, filtered.members, filtered.per_n, filtered.violations,
+        filtered.tight_count, filtered.tight_exemplars)
     serial = report.to_json()
     parallel = rc.sweep(family, 7, workers=3).to_json()
     assert fake_pool == [3]
@@ -242,3 +241,25 @@ def test_sweep_tests_membership_only_on_children_of_members(flagc_family, graphs
     streamed = rc.sweep_stream(flagc_family, lines)
     assert len(calls) == len(lines)
     assert streamed.per_n == report.per_n
+
+
+def _assert_totals_are_row_sums(report):
+    rows = report.per_n.values()
+    assert report.examined == sum(row["examined"] for row in rows)
+    assert report.members == sum(row["members"] for row in rows)
+    assert report.tight_count == sum(row["tight"] for row in rows)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_totals_are_the_sums_of_their_per_n_rows(workers, flagc_family, graphs_by_n, fake_pool):
+    for family in rc.FAMILIES.values():
+        _assert_totals_are_row_sums(rc.sweep(family, 7, workers=workers))
+    _assert_totals_are_row_sums(rc.sweep(flagc_family, 6, audit=True, workers=workers))
+    lines = [graph_to_graph6(g) + "\n" for n in range(7) for g in graphs_by_n[n]]
+    lines[100:100] = ["!!bad\n", "B\n"]
+    for audit in (False, True):
+        report = rc.sweep_stream(flagc_family, lines, strict=False, audit=audit, workers=workers)
+        assert report.skipped_lines == 2
+        assert report.examined == len(lines) - 2
+        _assert_totals_are_row_sums(report)
+    assert len(fake_pool) == (0 if workers == 1 else 8)
