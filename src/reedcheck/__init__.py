@@ -9,12 +9,10 @@ from .audit import (
     replay_finding,
 )
 from .coloring import (
-    BicolorPath,
     Coloring,
     SequenceDecomposition,
     UniqueColorDecomposition,
     build_sequence,
-    derive_T_prime,
     enumerate_optimal_colorings,
     find_bicolor_path4,
     greedy_coloring,

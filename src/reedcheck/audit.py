@@ -47,7 +47,6 @@ from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .coloring import (
-    BicolorPath,
     Coloring,
     SequenceDecomposition,
     UniqueColorDecomposition,
@@ -119,7 +118,7 @@ def _is_clique(adj: tuple[int, ...], mask: int) -> bool:
 class _Pair(NamedTuple):
     """An ordered non-adjacent pair (t, t') of T, as masks."""
 
-    path: BicolorPath | None
+    path: tuple[int, int, int, int] | None  # the least alternating 4-path t-V-W-t'
     of_t: int  # neighbors of t colored like t'
     of_t_prime: int  # neighbors of t' colored like t
 
@@ -247,7 +246,7 @@ def _statement_2_info(x: _Instance, vertices, hypothesis_failed) -> dict:
     if hypothesis_failed:
         return {}
     pair = x.pairs[vertices]
-    return {"path": list(pair.path.vertices),
+    return {"path": list(pair.path),
             "opposite_neighbors_of_t": pair.of_t.bit_count(),
             "opposite_neighbors_of_t_prime": pair.of_t_prime.bit_count()}
 

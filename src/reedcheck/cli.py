@@ -46,12 +46,11 @@ def _add_io_flags(p: argparse.ArgumentParser, with_graphs: bool = True) -> None:
     p.add_argument("--pretty", action="store_true", help="human-readable output")
 
 
-def _add_family_flags(p: argparse.ArgumentParser, default: str | None) -> None:
+def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=sorted(FAMILIES), default=None,
                    help="named forbidden-pattern family")
     p.add_argument("--forbid", nargs="+", metavar="G6", default=None,
                    help="custom forbidden patterns as graph6 strings")
-    p.set_defaults(default_family=default)
 
 
 def _resolve_family(args) -> FamilySpec:
@@ -65,10 +64,7 @@ def _resolve_family(args) -> FamilySpec:
         except Graph6Error as exc:
             raise UsageError(f"bad --forbid pattern: {exc}") from exc
         return FamilySpec("custom", patterns)
-    name = args.family or args.default_family
-    if name is None:
-        return FamilySpec("all-graphs", ())
-    return FAMILIES[name]
+    return FAMILIES[args.family or "p5-flagc"]
 
 
 def _input_graphs(args) -> tuple[list[tuple[str, object]], int]:
@@ -245,13 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="family membership per graph")
     _add_io_flags(p)
-    _add_family_flags(p, default="p5-flagc")
+    _add_family_flags(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("sweep", help="verify the bound over a graph corpus")
     _add_io_flags(p, with_graphs=False)
     p.add_argument("--source", help="graph6 file to sweep instead of internal enumeration")
-    _add_family_flags(p, default="p5-flagc")
+    _add_family_flags(p)
     p.add_argument("--n-max", type=int, default=None,
                    help=f"enumerate all graphs up to this size (default 7, max {MAX_ENUMERATION_N})")
     p.add_argument("--audit", action="store_true", help="run statement audits on members")
@@ -261,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="statement-by-statement audit per graph")
     _add_io_flags(p)
-    _add_family_flags(p, default="p5-flagc")
+    _add_family_flags(p)
     p.add_argument("--cap", type=int, default=DEFAULT_COLORING_CAP,
                    help="optimal-coloring budget per graph (default %(default)s)")
     p.set_defaults(func=cmd_audit)

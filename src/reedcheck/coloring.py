@@ -10,8 +10,7 @@ are computed over one graph and one proper coloring, so they can be
 audited on any concrete instance.  They work on vertex masks: a
 coloring builds the mask of each color class once, and R, S, T, T', the
 levels and W are ANDs and ORs of those masks with adjacency rows.  The
-decomposition records keep the masks and derive their vertex sets on
-request.
+decomposition records hold only those masks.
 """
 
 from __future__ import annotations
@@ -92,7 +91,6 @@ class OptimalColorings:
 
     colorings: tuple[Coloring, ...]
     truncated: bool
-    chi: int
 
 
 def enumerate_optimal_colorings(g: Graph, cap: int | None = None, *,
@@ -111,7 +109,7 @@ def enumerate_optimal_colorings(g: Graph, cap: int | None = None, *,
         raise ValueError("optimal-coloring enumeration is limited to 10 vertices")
     k = chromatic_number(g) if chi is None else chi
     if g.n == 0:
-        return OptimalColorings((Coloring((), 0),), False, 0)
+        return OptimalColorings((Coloring((), 0),), False)
     adj = g.adj
     n = g.n
     found: list[Coloring] = []
@@ -142,7 +140,7 @@ def enumerate_optimal_colorings(g: Graph, cap: int | None = None, *,
 
     assign(0, 0)
     del assign  # the closure refers to itself; dropping the name breaks the cycle
-    return OptimalColorings(tuple(found), truncated, k)
+    return OptimalColorings(tuple(found), truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -191,20 +189,14 @@ def kempe_swap(g: Graph, c: Coloring, component: frozenset[int], pair: tuple[int
     return Coloring(tuple(colors), c.color_count)
 
 
-@dataclass(frozen=True)
-class BicolorPath:
-    """Alternating 4-vertex path (t, V, W, t'); t,W share one color, V,t' the
-    other, so by properness the four vertices always induce a P4."""
+def find_bicolor_path4(g: Graph, c: Coloring, t: int,
+                       t_prime: int) -> tuple[int, int, int, int] | None:
+    """Least alternating path (t, V, W, t') with V colored like t' and W
+    like t, or None.
 
-    vertices: tuple[int, int, int, int]
-    colors: tuple[int, int]  # (color of t, color of t')
-
-
-def find_bicolor_path4(g: Graph, c: Coloring, t: int, t_prime: int) -> BicolorPath | None:
-    """Least alternating path t-V-W-t' with V colored like t' and W like t.
-
-    Requires t, t' non-adjacent with different colors.  The path lies inside
-    the Kempe component of t for the color pair by construction.
+    Requires t, t' non-adjacent with different colors.  By properness the
+    four vertices always induce a P4, and the path lies inside the Kempe
+    component of t for the color pair by construction.
     """
     j = c.colors[t]
     i = c.colors[t_prime]
@@ -219,22 +211,13 @@ def find_bicolor_path4(g: Graph, c: Coloring, t: int, t_prime: int) -> BicolorPa
     for v in iter_bits(c.classes[i] & adj[t]):
         ws = ends & adj[v]
         if ws:
-            return BicolorPath((t, v, (ws & -ws).bit_length() - 1, t_prime), (j, i))
+            return t, v, (ws & -ws).bit_length() - 1, t_prime
     return None
 
 
 # ---------------------------------------------------------------------------
 # unique-color decompositions around an apex vertex
 # ---------------------------------------------------------------------------
-
-def _vertex_set(mask: int) -> frozenset[int]:
-    return frozenset(iter_bits(mask))
-
-
-def _outside(g: Graph, u: int) -> int:
-    """The vertices outside the closed neighborhood of u."""
-    return ((1 << g.n) - 1) & ~(g.adj[u] | (1 << u))
-
 
 @dataclass(frozen=True)
 class UniqueColorDecomposition:
@@ -248,18 +231,6 @@ class UniqueColorDecomposition:
     R_mask: int
     S_mask: int
     T_mask: int
-
-    @property
-    def R(self) -> frozenset[int]:
-        return _vertex_set(self.R_mask)
-
-    @property
-    def S(self) -> frozenset[int]:
-        return _vertex_set(self.S_mask)
-
-    @property
-    def T(self) -> frozenset[int]:
-        return _vertex_set(self.T_mask)
 
 
 def unique_color_neighbors(g: Graph, c: Coloring, u: int) -> UniqueColorDecomposition:
@@ -280,24 +251,6 @@ def unique_color_neighbors(g: Graph, c: Coloring, u: int) -> UniqueColorDecompos
     return UniqueColorDecomposition(u, R, S, R & ~S)
 
 
-def _T_prime_mask(g: Graph, c: Coloring, d: UniqueColorDecomposition) -> int:
-    adj, classes, colors = g.adj, c.classes, c.colors
-    T = d.T_mask
-    found = 0
-    for x in iter_bits(T):
-        # x's neighbors colored like a vertex of T that x does not see
-        for y in iter_bits(T & ~adj[x] & ~(1 << x)):
-            found |= adj[x] & classes[colors[y]]
-    return found & _outside(g, d.u)
-
-
-def derive_T_prime(g: Graph, c: Coloring, d: UniqueColorDecomposition) -> frozenset[int]:
-    """Substitute vertices outside the closed neighborhood of u: every x'
-    adjacent to some x in T whose color matches another y in T with xy
-    not an edge."""
-    return _vertex_set(_T_prime_mask(g, c, d))
-
-
 @dataclass(frozen=True)
 class SequenceDecomposition:
     """The iterated substitute levels (S_l, S_l') plus the core W, as vertex
@@ -310,22 +263,8 @@ class SequenceDecomposition:
     what remains of S.
     """
 
-    u: int
     level_masks: tuple[tuple[int, int], ...]
     W_mask: int
-
-    @property
-    def levels(self) -> tuple[tuple[frozenset[int], frozenset[int]], ...]:
-        return tuple((_vertex_set(level), _vertex_set(primed))
-                     for level, primed in self.level_masks)
-
-    @property
-    def W(self) -> frozenset[int]:
-        return _vertex_set(self.W_mask)
-
-    @property
-    def k(self) -> int:
-        return len(self.level_masks) - 1
 
     @property
     def primed_mask(self) -> int:
@@ -334,17 +273,24 @@ class SequenceDecomposition:
             out |= primed
         return out
 
-    def primed_union(self) -> frozenset[int]:
-        return _vertex_set(self.primed_mask)
-
 
 def build_sequence(g: Graph, c: Coloring, d: UniqueColorDecomposition) -> SequenceDecomposition:
-    """The substitute levels around the apex of the decomposition ``d``."""
+    """The substitute levels around the apex of the decomposition ``d``.
+
+    T' holds the vertices outside the closed neighborhood of u that are
+    adjacent to some x in T and colored like a vertex of T that x does
+    not see.
+    """
     adj, classes, colors = g.adj, c.classes, c.colors
-    prev_primed = _T_prime_mask(g, c, d)
-    levels = [(d.T_mask, prev_primed)]
+    outside = ((1 << g.n) - 1) & ~(adj[d.u] | (1 << d.u))
+    T = d.T_mask
+    prev_primed = 0
+    for x in iter_bits(T):
+        for y in iter_bits(T & ~adj[x] & ~(1 << x)):
+            prev_primed |= adj[x] & classes[colors[y]]
+    prev_primed &= outside
+    levels = [(T, prev_primed)]
     pool = d.S_mask
-    outside = _outside(g, d.u)
     while prev_primed:
         level = primed = 0
         for x in iter_bits(pool):
@@ -358,4 +304,4 @@ def build_sequence(g: Graph, c: Coloring, d: UniqueColorDecomposition) -> Sequen
         pool &= ~level
         levels.append((level, primed))
         prev_primed = primed
-    return SequenceDecomposition(u=d.u, level_masks=tuple(levels), W_mask=pool)
+    return SequenceDecomposition(level_masks=tuple(levels), W_mask=pool)

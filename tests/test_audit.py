@@ -76,7 +76,7 @@ def test_statement_3_vacuous_when_T_small():
         for c in rc.enumerate_optimal_colorings(g).colorings:
             for u in range(g.n):
                 d = rc.unique_color_neighbors(g, c, u)
-                if len(d.T) <= 2:
+                if d.T_mask.bit_count() <= 2:
                     assert check("S3", g, c, u) == []
 
 
@@ -336,38 +336,46 @@ def test_statements_past_the_gate_with_S_nonempty():
     # chi 6) sets chi, and a disjoint gadget sets Delta = 16 (bound 10) at
     # u = 31, where R = {s = 32} + T = {33, 34, 35} and s meets all of T;
     # the path 33-48-49 gives T' = {48} (colored like 34, next to 33) and,
-    # since s misses 48, the level-1 substitute 49 (colored like s)
+    # since s misses 48, the level-1 substitute 49 (colored like s).  With
+    # the edge s-48 added, s sees all of T', so no level 1 forms and s
+    # stays in the core: W = S = {32} joins T' in CLAIM and FINAL
     mycielski = _mycielski(_mycielski(_mycielski(Graph.complete(3))))
     u, s, leaves = 31, 32, (33, 34, 35)
-    g = Graph.from_edges(50, list(mycielski.edges()) + [(u, v) for v in range(32, 48)]
-                         + [(s, v) for v in leaves] + [(33, 48), (48, 49)])
     first = (0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 0, 1, 2, 3, 4, 0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 0, 1, 2,
              3, 4, 5)
     c = Coloring(first + (0, 1, 2, 3, 4) + (5,) * 12 + (3, 1), 6)
-    findings = {s: check(s, g, c, u) for s in STATEMENTS}
-    assert [(s, f.status, f.vertices, f.hypothesis_failed)
-            for s, fs in findings.items() for f in fs] == [
-        ("I", "holds", (), None), ("S1", "holds", (), None),
-        *[("S2", "hypotheses-unmet", pair, "bicolor-path4")
-          for pair in ((33, 34), (33, 35), (34, 33), (34, 35), (35, 33), (35, 34))],
-        *[("S3", "hypotheses-unmet", triple, "bicolor-path4")
-          for triple in ((33, 34, 35), (34, 33, 35), (35, 33, 34))],
-        ("S4", "holds", (48, 49), None),
-        ("CLAIM", "violated", (48, 49), None), ("FINAL", "violated", (48, 49), None)]
-    [gate] = findings["I"]
-    assert gate.info == {"R": [32, 33, 34, 35], "deg_u": 16, "reed_bound": 10, "omega": 3,
-                         "degree_condition": True, "size_condition": True}
-    assert findings["S1"][0].info == {"T": [33, 34, 35], "R": [32, 33, 34, 35]}
-    # the level-1 substitute 49 is part of S4's target, next to T' = [48]
-    assert findings["S4"][0].info == {"T_prime": [48], "S1_prime": [49],
-                                      "t_prime_complete": True}
-    for s in ("CLAIM", "FINAL"):
-        assert findings[s][0].info == {"members": [48, 49], "complete": True,
-                                       "colors_cover_R": False, "size": 2, "R_size": 4,
-                                       "omega": 3}
-    for fs in findings.values():
-        for f in fs:
-            assert replay_finding(f.to_json()) == f
+    cases = {  # extra edges: (T', S1', W plus all substitutes)
+        (): ([48], [49], [48, 49]),
+        ((s, 48),): ([48], [], [32, 48]),
+    }
+    for extra, (t_prime, s1_prime, members) in cases.items():
+        g = Graph.from_edges(50, list(mycielski.edges()) + [(u, v) for v in range(32, 48)]
+                             + [(s, v) for v in leaves] + [(33, 48), (48, 49), *extra])
+        findings = {name: check(name, g, c, u) for name in STATEMENTS}
+        assert [(name, f.status, f.vertices, f.hypothesis_failed)
+                for name, fs in findings.items() for f in fs] == [
+            ("I", "holds", (), None), ("S1", "holds", (), None),
+            *[("S2", "hypotheses-unmet", pair, "bicolor-path4")
+              for pair in ((33, 34), (33, 35), (34, 33), (34, 35), (35, 33), (35, 34))],
+            *[("S3", "hypotheses-unmet", triple, "bicolor-path4")
+              for triple in ((33, 34, 35), (34, 33, 35), (35, 33, 34))],
+            ("S4", "holds", tuple(t_prime + s1_prime), None),
+            ("CLAIM", "violated", tuple(members), None),
+            ("FINAL", "violated", tuple(members), None)]
+        [gate] = findings["I"]
+        assert gate.info == {"R": [32, 33, 34, 35], "deg_u": 16, "reed_bound": 10, "omega": 3,
+                             "degree_condition": True, "size_condition": True}
+        assert findings["S1"][0].info == {"T": [33, 34, 35], "R": [32, 33, 34, 35]}
+        # a level-1 substitute is part of S4's target, next to T'
+        assert findings["S4"][0].info == {"T_prime": t_prime, "S1_prime": s1_prime,
+                                          "t_prime_complete": True}
+        for name in ("CLAIM", "FINAL"):
+            assert findings[name][0].info == {"members": members, "complete": True,
+                                              "colors_cover_R": False, "size": 2,
+                                              "R_size": 4, "omega": 3}
+        for fs in findings.values():
+            for f in fs:
+                assert replay_finding(f.to_json()) == f
 
 
 @pytest.mark.parametrize("u", [-1, 5])

@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import json
 import random
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -279,3 +281,16 @@ def test_readme_cli_block_runs(capsys):
             [row] = ndjson(out)
             assert (row["graph6"], row["member"], row["witness"]["pattern"]) == (
                 "EhEG", False, "P5")
+
+
+def test_package_imports_only_the_standard_library():
+    # the README promises no runtime dependencies beyond the standard library
+    package = Path(rc.__file__).parent
+    imported = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported and imported <= sys.stdlib_module_names, imported - sys.stdlib_module_names

@@ -13,6 +13,25 @@ C5 = Graph.cycle(5)
 APEX = Coloring((0, 1, 2, 1, 2), 3)  # u=0, t=1, x=2, y=3, t'=4
 
 
+def vertex_set(mask):
+    return frozenset(iter_bits(mask))
+
+
+def rst(d):
+    """(R, S, T) of a decomposition, as vertex sets."""
+    return vertex_set(d.R_mask), vertex_set(d.S_mask), vertex_set(d.T_mask)
+
+
+def level_sets(seq):
+    """The substitute levels (S_l, S_l') of a sequence, as vertex sets."""
+    return tuple((vertex_set(level), vertex_set(primed)) for level, primed in seq.level_masks)
+
+
+def t_prime(g, c, d):
+    """T', the primed set of level 0."""
+    return vertex_set(rc.build_sequence(g, c, d).level_masks[0][1])
+
+
 def test_coloring_requires_contiguous_colors():
     with pytest.raises(ValueError):
         Coloring((0, 2), 3)
@@ -161,8 +180,8 @@ def test_kempe_swap_involution_on_random_first_fit_colorings(n, p, seed):
 
 def test_find_bicolor_path4_examples():
     path = rc.find_bicolor_path4(C5, APEX, 1, 4)
-    assert path.vertices == (1, 2, 3, 4)
-    assert path.colors == (1, 2)
+    assert path == (1, 2, 3, 4)
+    assert [APEX.colors[v] for v in path] == [1, 2, 1, 2]
     # endpoints in different components: no path
     two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
     c = Coloring((0, 1, 1, 0), 2)
@@ -185,7 +204,7 @@ def test_bicolor_path_induces_p4(graphs_by_n):
                         found = rc.find_bicolor_path4(g, c, t, t2)
                         if found is None:
                             continue
-                        sub = rc.induced_subgraph(g, found.vertices)
+                        sub = rc.induced_subgraph(g, found)
                         assert rc.is_isomorphic(sub, p4)
 
 
@@ -195,15 +214,15 @@ def test_unique_color_neighbors_examples():
     # path a-u-b colored (1,0,2)
     p3 = Graph.path(3)
     d = rc.unique_color_neighbors(p3, Coloring((1, 0, 2), 3), 1)
-    assert (d.R, d.S, d.T) == ({0, 2}, frozenset(), {0, 2})
+    assert rst(d) == ({0, 2}, frozenset(), {0, 2})
 
     k3 = Graph.complete(3)
     d = rc.unique_color_neighbors(k3, Coloring((0, 1, 2), 3), 0)
-    assert d.R == {1, 2} and d.S == {1, 2} and d.T == frozenset()
+    assert rst(d) == ({1, 2}, {1, 2}, frozenset())
 
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     d = rc.unique_color_neighbors(star, Coloring((0, 1, 1, 1), 2), 0)
-    assert d.R == frozenset()
+    assert rst(d)[0] == frozenset()
 
 
 def test_r_partition_property(graphs_by_n):
@@ -212,8 +231,9 @@ def test_r_partition_property(graphs_by_n):
             for c in rc.enumerate_optimal_colorings(g, cap=20).colorings:
                 for u in range(n):
                     d = rc.unique_color_neighbors(g, c, u)
-                    assert d.S | d.T == d.R
-                    assert not d.S & d.T
+                    R, S, T = rst(d)
+                    assert S | T == R
+                    assert not S & T
 
 
 def test_derive_T_prime_examples():
@@ -221,28 +241,27 @@ def test_derive_T_prime_examples():
     p4 = Graph.path(4)
     c = Coloring((2, 1, 0, 2), 3)
     d = rc.unique_color_neighbors(p4, c, 2)
-    assert d.T == {1, 3}
-    assert rc.derive_T_prime(p4, c, d) == {0}
+    assert rst(d)[2] == {1, 3}
+    assert t_prime(p4, c, d) == {0}
 
     k3 = Graph.complete(3)
     ck3 = Coloring((0, 1, 2), 3)
-    assert rc.derive_T_prime(k3, ck3, rc.unique_color_neighbors(k3, ck3, 0)) == frozenset()
+    assert t_prime(k3, ck3, rc.unique_color_neighbors(k3, ck3, 0)) == frozenset()
 
     d5 = rc.unique_color_neighbors(C5, APEX, 0)
-    assert rc.derive_T_prime(C5, APEX, d5) == {2, 3}
+    assert t_prime(C5, APEX, d5) == {2, 3}
 
 
 def test_build_sequence_examples():
     seq = rc.build_sequence(C5, APEX, rc.unique_color_neighbors(C5, APEX, 0))
-    assert seq.levels == ((frozenset({1, 4}), frozenset({2, 3})),)
-    assert seq.W == frozenset()
-    assert seq.k == 0
+    assert level_sets(seq) == ((frozenset({1, 4}), frozenset({2, 3})),)
+    assert vertex_set(seq.W_mask) == frozenset()
 
     k4 = Graph.complete(4)
     ck4 = Coloring((0, 1, 2, 3), 4)
     seq = rc.build_sequence(k4, ck4, rc.unique_color_neighbors(k4, ck4, 0))
-    assert seq.levels[0] == (frozenset(), frozenset())
-    assert seq.W == {1, 2, 3}  # W = S = N(u)
+    assert level_sets(seq)[0] == (frozenset(), frozenset())
+    assert vertex_set(seq.W_mask) == {1, 2, 3}  # W = S = N(u)
 
 
 def test_build_sequence_structural_properties(graphs_by_n, flagc_family):
@@ -253,14 +272,16 @@ def test_build_sequence_structural_properties(graphs_by_n, flagc_family):
             for c in rc.enumerate_optimal_colorings(g, cap=30).colorings:
                 for u in range(n):
                     d = rc.unique_color_neighbors(g, c, u)
+                    _, S, T = rst(d)
                     seq = rc.build_sequence(g, c, d)
-                    assert seq.k <= len(d.S) + 1
-                    assert seq.levels[0][0] == d.T
+                    levels, W = level_sets(seq), vertex_set(seq.W_mask)
+                    assert len(levels) - 1 <= len(S) + 1
+                    assert levels[0][0] == T
                     consumed = set()
-                    for l, (level, primed) in enumerate(seq.levels):
+                    for l, (level, primed) in enumerate(levels):
                         if l == 0:
                             continue
-                        assert level <= d.S and not (level & consumed)
+                        assert level <= S and not (level & consumed)
                         assert level, "only a trailing level may be empty"
                         consumed |= level
                         # substitutes carry colors of their level and live
@@ -269,10 +290,10 @@ def test_build_sequence_structural_properties(graphs_by_n, flagc_family):
                         for z in primed:
                             assert z != u and not g.has_edge(u, z)
                             assert c.colors[z] in level_colors
-                    assert seq.W == d.S - consumed
+                    assert W == S - consumed
                     # the core is adjacent to every substitute, at every level
-                    for x in seq.W:
-                        for z in seq.primed_union():
+                    for x in W:
+                        for z in vertex_set(seq.primed_mask):
                             assert g.has_edge(x, z)
 
 
@@ -285,7 +306,7 @@ def test_level_color_coverage_is_not_universal():
     c = Coloring((0, 0, 0, 1, 1, 2, 3), 4)
     assert rc.is_proper(g, c) and c.color_count == rc.chromatic_number(g)
     seq = rc.build_sequence(g, c, rc.unique_color_neighbors(g, c, 4))
-    s1, s1p = seq.levels[1]
+    s1, s1p = level_sets(seq)[1]
     assert s1 == {5} and s1p == frozenset()
 
 
@@ -371,16 +392,21 @@ def test_decompositions_match_the_set_oracle(n, p, seed):
     for u in range(n):
         d = rc.unique_color_neighbors(g, c, u)
         R, S, T = oracle_unique_color_neighbors(g, c, u)
-        assert (d.u, d.R, d.S, d.T) == (u, R, S, T)
-        assert rc.derive_T_prime(g, c, d) == oracle_derive_T_prime(g, c, u, T)
+        assert (d.u, *rst(d)) == (u, R, S, T)
         seq = rc.build_sequence(g, c, d)
+        assert vertex_set(seq.level_masks[0][1]) == oracle_derive_T_prime(g, c, u, T)
         levels, W = oracle_build_sequence(g, c, u, S, T)
-        assert (seq.u, seq.levels, seq.W, seq.k) == (u, levels, W, len(levels) - 1)
-        assert seq.primed_union() == frozenset().union(*(primed for _, primed in levels))
+        assert (level_sets(seq), vertex_set(seq.W_mask)) == (levels, W)
+        assert vertex_set(seq.primed_mask) == frozenset().union(*(primed for _, primed in levels))
     for t in range(n):
         for t2 in range(n):
             if t == t2 or g.has_edge(t, t2) or c.colors[t] == c.colors[t2]:
                 continue
             path = rc.find_bicolor_path4(g, c, t, t2)
             expected = oracle_find_bicolor_path4(g, c, t, t2)
-            assert (path and (path.vertices, path.colors)) == expected
+            if expected is None:
+                assert path is None
+            else:
+                vertices, (j, i) = expected
+                assert path == vertices
+                assert [c.colors[v] for v in path] == [j, i, j, i]
