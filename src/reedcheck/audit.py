@@ -26,11 +26,10 @@ every outcome but builds findings only for violated ones; ``check`` and
 A whole-graph audit is handed the graph's invariant bundle, which a
 sweep has already computed, and reads omega, chi and the Reed bound
 from it; chi is not solved again, not even by the coloring policy.  The
-policy audits every canonical optimal coloring (up to a cap) for
-n <= 7, and the first-fit colorings from every vertex rotation for
-8 <= n <= 10.  A single ``check`` computes only what its statement reads:
-omega and the Reed bound, plus chi when the statement needs an optimal
-coloring.
+policy audits every canonical optimal coloring for n <= 7, and the
+first-fit colorings from every vertex rotation for 8 <= n <= 10.  A
+single ``check`` computes only what its statement reads: omega and the
+Reed bound, plus chi when the statement needs an optimal coloring.
 
 Violated findings on hosts containing a forbidden pattern are expected
 and kept: they demonstrate that the forbidden subgraphs are doing the
@@ -63,8 +62,6 @@ from .invariants import (InvariantBundle, chromatic_number, clique_number, max_d
                          reed_bound)
 
 STATUSES = ("holds", "violated", "hypotheses-unmet", "gate-failed")
-
-DEFAULT_COLORING_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -400,18 +397,13 @@ def check(statement: str, g: Graph, c: Coloring, u: int) -> list[AuditFinding]:
 # whole-graph audit
 # ---------------------------------------------------------------------------
 
-def audit_colorings(g: Graph, chi: int,
-                    cap: int = DEFAULT_COLORING_CAP) -> tuple[tuple[Coloring, ...], bool]:
-    """The audit coloring policy: all canonical optimal colorings (capped)
-    for n <= 7, first-fit colorings from every vertex rotation above that.
-    ``chi`` must be the chromatic number of ``g``.  The default cap is never
-    reached: no graph with n <= 7 has more than 81 canonical optimal
-    colorings, and the cap is not used above that."""
-    if cap < 1:
-        raise ValueError(f"coloring cap must be at least 1, got {cap}")
+def audit_colorings(g: Graph, chi: int) -> tuple[tuple[Coloring, ...], bool]:
+    """The audit coloring policy: all canonical optimal colorings for n <= 7
+    (no such graph has more than 81), first-fit colorings from every vertex
+    rotation above that.  ``chi`` must be the chromatic number of ``g``.
+    The second item, whether the list was truncated, is always False."""
     if g.n <= 7:
-        enum = enumerate_optimal_colorings(g, cap=cap, chi=chi)
-        return enum.colorings, enum.truncated
+        return enumerate_optimal_colorings(g, chi=chi), False
     seen = []
     for shift in range(g.n):
         order = tuple((v + shift) % g.n for v in range(g.n))
@@ -446,8 +438,7 @@ class AuditReport:
         }
 
 
-def audit_graph(g: Graph, bundle: InvariantBundle,
-                coloring_budget: int = DEFAULT_COLORING_CAP) -> AuditReport:
+def audit_graph(g: Graph, bundle: InvariantBundle) -> AuditReport:
     """Run every registered statement over all vertices and the coloring policy.
 
     ``bundle`` is ``invariant_bundle(g)``; omega, chi and the Reed bound
@@ -462,7 +453,7 @@ def audit_graph(g: Graph, bundle: InvariantBundle,
         raise ValueError(f"audit is limited to 10 vertices, got n={g.n} in {graph6}")
     if (bundle.n, bundle.m) != (g.n, g.m):
         raise ValueError(f"invariant bundle with n={bundle.n}, m={bundle.m} given for {graph6}")
-    colorings, truncated = audit_colorings(g, bundle.chi, cap=coloring_budget)
+    colorings, truncated = audit_colorings(g, bundle.chi)
     counters = {s: {st: 0 for st in STATUSES} for s in STATEMENTS}
     # the statements run on an optimal coloring, and on any other
     runs = {optimal: [(name, counters[name], spec.outcomes) for name, spec in REGISTRY.items()

@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .audit import DEFAULT_COLORING_CAP, audit_graph
+from .audit import audit_graph
 from .corpus import MAX_ENUMERATION_N, Graph6Stream, sweep, sweep_stream
 from .graphs import Graph6Error, graph_from_graph6, graph_to_graph6
 from .invariants import invariant_bundle
@@ -197,7 +197,7 @@ def cmd_audit(args) -> int:
     member_violations = 0
     for g6, g in labeled:
         member = in_family(g, family).member
-        report = audit_graph(g, invariant_bundle(g), coloring_budget=args.cap)
+        report = audit_graph(g, invariant_bundle(g))
         if member:
             member_violations += len(report.violations)
         row = {"member": member, "family": family.name, **report.to_json()}
@@ -258,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="statement-by-statement audit per graph")
     _add_io_flags(p)
     _add_family_flags(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_COLORING_CAP,
-                   help="optimal-coloring budget per graph (default %(default)s)")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("patterns", help="list the builtin pattern catalog")

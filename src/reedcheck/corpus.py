@@ -27,8 +27,8 @@ chunk or the whole sweep, and one fold adds them up: each member's into
 its chunk's, and the chunks' into the sweep's in chunk order.  The
 capped lists (20 tight exemplars, 100 audit certificates) therefore keep
 the first entries of the stream, and reports are byte-identical for any
-worker count.  Audits in a sweep use the default coloring cap, which no
-graph a sweep can audit reaches (see ``audit_colorings``).
+worker count.  An audit never truncates its coloring policy (see
+``audit_colorings``), so ``colorings_truncated`` stays 0.
 """
 
 from __future__ import annotations
@@ -98,9 +98,11 @@ def enumerate_graphs(n: int):
 class Graph6Stream:
     """Iterator of (line_number, Graph) over one-graph-per-line text.
 
-    Lines beginning with ``>>`` are headers and skipped.  In strict mode a
-    malformed line aborts with the line number; in lenient mode it is
-    skipped and recorded in :attr:`skipped`.
+    A line that is exactly the ``>>graph6<<`` header is skipped; a header
+    followed by a graph on the same line, as networkx writes it, is decoded
+    like any other line.  In strict mode a malformed line aborts with the
+    line number; in lenient mode it is skipped and recorded in
+    :attr:`skipped`.
     """
 
     def __init__(self, lines, strict: bool = True):
@@ -111,7 +113,7 @@ class Graph6Stream:
     def __iter__(self):
         for lineno, raw in enumerate(self._lines, start=1):
             line = raw.rstrip("\r\n")
-            if line.startswith(">>"):
+            if line == ">>graph6<<":
                 continue
             try:
                 yield lineno, graph_from_graph6(line)

@@ -139,7 +139,7 @@ def test_c06_kempe_properties(graphs_by_n):
     failures = 0
     for n in range(7):
         for g in graphs_by_n[n]:
-            for c in rc.enumerate_optimal_colorings(g, cap=10_000).colorings:
+            for c in rc.enumerate_optimal_colorings(g):
                 for v in range(n):
                     for other in range(c.color_count):
                         if other == c.colors[v]:

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -73,7 +76,7 @@ def test_statement_2_vacuous_on_k3():
 
 def test_statement_3_vacuous_when_T_small():
     for g in (Graph.complete(4), C5):
-        for c in rc.enumerate_optimal_colorings(g).colorings:
+        for c in rc.enumerate_optimal_colorings(g):
             for u in range(g.n):
                 d = rc.unique_color_neighbors(g, c, u)
                 if d.T_mask.bit_count() <= 2:
@@ -163,7 +166,7 @@ def test_audit_counters_sum_to_instances(graphs_by_n):
 
 def test_hypotheses_unmet_always_names_the_hypothesis(graphs_by_n):
     for g in list(graphs_by_n[6])[:40]:
-        for c in rc.enumerate_optimal_colorings(g, cap=5).colorings:
+        for c in rc.enumerate_optimal_colorings(g)[:5]:
             for u in range(g.n):
                 for f in (
                     check("S1", g, c, u) + check("S4", g, c, u)
@@ -204,7 +207,7 @@ def test_replay_is_deterministic_on_audit_violations(graphs_by_n):
     for g in graphs_by_n[6]:
         if rc.in_family(g, fam).member:
             continue
-        report = rc.audit_graph(g, rc.invariant_bundle(g), coloring_budget=20)
+        report = rc.audit_graph(g, rc.invariant_bundle(g))
         for f in report.violations[:2]:
             again = replay_finding(f.to_json())
             assert again.status == "violated"
@@ -260,6 +263,12 @@ def _mycielski(g):
         edges += [(v, n + w), (w, n + v)]
     edges += [(n + v, 2 * n) for v in range(n)]
     return Graph.from_edges(2 * n + 1, edges)
+
+
+# a 6-coloring of M^3(K3), the Mycielski graph of the Mycielski graph of the
+# Mycielski graph of K3 (n = 31, omega 3, chi 6)
+M3K3_COLORS = (0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 0, 1, 2, 3, 4, 0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 0, 1, 2,
+               3, 4, 5)
 
 
 def test_statements_past_the_gate():
@@ -341,9 +350,7 @@ def test_statements_past_the_gate_with_S_nonempty():
     # stays in the core: W = S = {32} joins T' in CLAIM and FINAL
     mycielski = _mycielski(_mycielski(_mycielski(Graph.complete(3))))
     u, s, leaves = 31, 32, (33, 34, 35)
-    first = (0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 0, 1, 2, 3, 4, 0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 0, 1, 2,
-             3, 4, 5)
-    c = Coloring(first + (0, 1, 2, 3, 4) + (5,) * 12 + (3, 1), 6)
+    c = Coloring(M3K3_COLORS + (0, 1, 2, 3, 4) + (5,) * 12 + (3, 1), 6)
     cases = {  # extra edges: (T', S1', W plus all substitutes)
         (): ([48], [49], [48, 49]),
         ((s, 48),): ([48], [], [32, 48]),
@@ -376,6 +383,49 @@ def test_statements_past_the_gate_with_S_nonempty():
         for fs in findings.values():
             for f in fs:
                 assert replay_finding(f.to_json()) == f
+
+
+def test_impossibility_arguments_on_random_gadgets():
+    # M^3(K3) plus a random gadget: an apex u = 31 whose neighbors are four
+    # R-vertices colored 1..4 with random edges among them and twelve
+    # leaves colored 5, and one to six outside vertices with random colors
+    # and random edges to R and to each other, all properly colored.  A
+    # draw with omega 3 and Delta 16 (bound 10) passes the gate at u.
+    mycielski = _mycielski(_mycielski(_mycielski(Graph.complete(3))))
+    u, R = 31, range(32, 36)
+    rnd = random.Random(1)
+    kept = 0
+    reached = Counter()
+    for _ in range(40):
+        outside = range(48, 48 + rnd.randint(1, 6))
+        colors = (M3K3_COLORS + (0, 1, 2, 3, 4) + (5,) * 12
+                  + tuple(rnd.randrange(6) for _ in outside))
+        edges = list(mycielski.edges()) + [(u, v) for v in range(32, 48)]
+        edges += [e for e in combinations(R, 2) if rnd.random() < 0.5]
+        edges += [(r, x) for x in outside for r in R
+                  if colors[r] != colors[x] and rnd.random() < 0.5]
+        edges += [(x, y) for x, y in combinations(outside, 2)
+                  if colors[x] != colors[y] and rnd.random() < 0.5]
+        g, c = Graph.from_edges(48 + len(outside), edges), Coloring(colors, 6)
+        if rc.clique_number(g) != 3 or rc.max_degree(g) != 16:
+            continue
+        kept += 1
+        findings = {name: check(name, g, c, u) for name in STATEMENTS}
+        assert [f.status for f in findings["I"]] == ["holds"]
+        # S1 always holds past the gate (see _statement_1), and a complete
+        # set covering R's colors would be a clique on omega + 1 vertices
+        assert "violated" not in {f.status for f in findings["S1"]}
+        assert "holds" not in {f.status for f in findings["CLAIM"] + findings["FINAL"]}
+        for name, fs in findings.items():
+            for f in fs:
+                reached[name, f.status] += 1
+                assert replay_finding(f.to_json()) == f
+    assert kept == 22
+    # the draws reach every S4 branch and both ways FINAL can fail
+    assert {status for name, status in reached if name == "S4"} == {
+        "holds", "violated", "hypotheses-unmet"}
+    assert {status for name, status in reached if name == "FINAL"} == {
+        "violated", "hypotheses-unmet"}
 
 
 @pytest.mark.parametrize("u", [-1, 5])

@@ -7,6 +7,7 @@ import shlex
 import sys
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 import reedcheck as rc
@@ -99,6 +100,25 @@ def test_sweep_source_file(capsys, tmp_path):
     assert report["members"] == 2  # C6 contains an induced P5
 
 
+def test_source_reads_a_graph_that_shares_the_header_line(capsys, tmp_path):
+    # networkx writes the header in front of the graph, on the same line
+    three, one = tmp_path / "three.g6", tmp_path / "one.g6"
+    with open(three, "wb") as handle:
+        for i, g in enumerate((nx.cycle_graph(5), nx.path_graph(4), nx.complete_graph(3))):
+            nx.write_graph6(g, handle, header=i == 0)
+    with open(one, "wb") as handle:
+        nx.write_graph6(nx.cycle_graph(5), handle)
+    assert one.read_text() == f">>graph6<<{C5_G6}\n"
+    code, out, _ = run(capsys, "sweep", "--source", str(three))
+    assert code == 0
+    report = ndjson(out)[0]
+    assert (report["examined"], report["skipped_lines"]) == (3, 0)
+    assert sorted(report["per_n"]) == ["3", "4", "5"]
+    code, out, _ = run(capsys, "invariants", "--source", str(one))
+    assert code == 0
+    assert [row["graph6"] for row in ndjson(out)] == [C5_G6]
+
+
 def test_sweep_source_lenient_counts_skips(capsys, tmp_path):
     src = tmp_path / "graphs.g6"
     src.write_text(f"{C5_G6}\né\n!!bad\n{K5_G6}\n", encoding="utf-8")
@@ -121,13 +141,10 @@ def test_sweep_workers_byte_identical(capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_bad_workers_and_cap_are_usage_errors(capsys):
+def test_bad_workers_is_a_usage_error(capsys):
     code, _, err = run(capsys, "sweep", "--n-max", "4", "--workers", "-5")
     assert code == 2
     assert "--workers" in err
-    code, out, err = run(capsys, "audit", "--cap", "0", "Dhc")
-    assert code == 2 and out == ""
-    assert "cap" in err
 
 
 def test_audit_size_limit_names_the_graph(capsys, tmp_path):
@@ -250,6 +267,39 @@ def test_out_file_and_pretty(capsys, tmp_path):
     assert json.loads(out_path.read_text())["chi"] == 3
     code, out, _ = run(capsys, "patterns", "--pretty")
     assert code == 0 and "FlagC" in out
+
+
+def test_pretty_output_is_pinned(capsys):
+    cases = [
+        (["invariants", "Dhc", "Ch"], [
+            "Dhc  n=5 m=5 delta=2 omega=2 chi=3 alpha=2 reed_bound=3 slack=0",
+            "Ch  n=4 m=3 delta=2 omega=2 chi=2 alpha=2 reed_bound=3 slack=1",
+        ]),
+        (["classify", "Dhc", "EhEG"], [
+            "Dhc  p5-flagc: member",
+            "EhEG  p5-flagc: not a member (induced P5 at [0, 1, 2, 3, 4])",
+        ]),
+        (["sweep", "--n-max", "5"], [
+            "family p5-flagc: examined 53, members 51, violations 0, tight 19 (WALL)",
+            "  n=0: examined 1, members 1, tight 0",
+            "  n=1: examined 1, members 1, tight 1",
+            "  n=2: examined 2, members 2, tight 2",
+            "  n=3: examined 4, members 4, tight 3",
+            "  n=4: examined 11, members 11, tight 5",
+            "  n=5: examined 34, members 32, tight 8",
+        ]),
+        (["audit", "Dhc", "E@V_"], [
+            "Dhc  member=True colorings=5 violated=0  "
+            "[I:25, S1:25, S2:30, S3:0, S4:25, CLAIM:25, FINAL:25]",
+            "E@V_  member=False colorings=10 violated=4  "
+            "[I:60, S1:60, S2:48, S3:0, S4:60, CLAIM:60, FINAL:60]",
+        ]),
+    ]
+    for argv, expected in cases:
+        code, out, err = run(capsys, *argv, "--pretty")
+        assert (code, err) == (0, ""), argv
+        # the sweep's wall time differs from run to run
+        assert re.sub(r"\(\d+\.\d\ds\)$", "(WALL)", out, flags=re.M).splitlines() == expected
 
 
 def test_no_input_is_usage_error(capsys):

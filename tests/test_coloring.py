@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reedcheck as rc
-from reedcheck.audit import audit_colorings
 from reedcheck.coloring import Coloring, canonicalize_coloring
 from reedcheck.graphs import Graph, iter_bits
 
@@ -68,12 +67,12 @@ def test_canonicalize_coloring():
 
 
 def test_enumerate_optimal_colorings_examples():
-    assert len(rc.enumerate_optimal_colorings(Graph.complete(3)).colorings) == 1
+    assert len(rc.enumerate_optimal_colorings(Graph.complete(3))) == 1
     c5 = rc.enumerate_optimal_colorings(C5)
-    assert len(c5.colorings) == 5 and not c5.truncated
-    assert APEX in c5.colorings
+    assert len(c5) == 5
+    assert APEX in c5
     c4 = rc.enumerate_optimal_colorings(Graph.cycle(4))
-    assert [c.colors for c in c4.colorings] == [(0, 1, 0, 1)]
+    assert [c.colors for c in c4] == [(0, 1, 0, 1)]
 
 
 def test_enumerated_colorings_are_proper_optimal_and_canonical(graphs_by_n):
@@ -82,34 +81,19 @@ def test_enumerated_colorings_are_proper_optimal_and_canonical(graphs_by_n):
             enum = rc.enumerate_optimal_colorings(g)
             chi = rc.chromatic_number(g)
             seen = set()
-            for c in enum.colorings:
+            for c in enum:
                 assert rc.is_proper(g, c)
                 assert c.color_count == chi
                 assert canonicalize_coloring(c) == c
                 seen.add(c.colors)
-            assert len(seen) == len(enum.colorings)
+            assert len(seen) == len(enum)
 
 
-def test_enumeration_cap_sets_truncation_flag():
-    # triangle plus three isolated vertices has many optimal colorings
+def test_enumeration_keeps_every_optimal_coloring():
+    # triangle plus three isolated vertices: each isolated vertex takes any
+    # of the three colors
     g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2)])
-    full = rc.enumerate_optimal_colorings(g)
-    assert len(full.colorings) == 27 and not full.truncated
-    capped = rc.enumerate_optimal_colorings(g, cap=10)
-    assert len(capped.colorings) == 10 and capped.truncated
-
-
-@pytest.mark.parametrize("cap", [0, -1])
-def test_coloring_caps_below_one_are_rejected(cap):
-    g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2)])
-    one = rc.enumerate_optimal_colorings(g, cap=1)
-    assert len(one.colorings) == 1 and one.truncated
-    with pytest.raises(ValueError, match="at least 1"):
-        rc.enumerate_optimal_colorings(g, cap=cap)
-    # the audit policy rejects it for n >= 8 too, where no enumeration runs
-    for h in (g, Graph.cycle(8)):
-        with pytest.raises(ValueError, match="at least 1"):
-            audit_colorings(h, rc.chromatic_number(h), cap=cap)
+    assert len(rc.enumerate_optimal_colorings(g)) == 27
 
 
 # Kempe machinery -------------------------------------------------------------
@@ -145,7 +129,7 @@ def test_kempe_swap_rejects_open_component():
 def test_kempe_swap_properness_and_involution(graphs_by_n):
     for n in range(6):
         for g in graphs_by_n[n]:
-            for c in rc.enumerate_optimal_colorings(g).colorings:
+            for c in rc.enumerate_optimal_colorings(g):
                 for v in range(n):
                     for other in range(c.color_count):
                         if other == c.colors[v]:
@@ -196,7 +180,7 @@ def test_bicolor_path_induces_p4(graphs_by_n):
     p4 = Graph.path(4)
     for n in range(7):
         for g in graphs_by_n[n]:
-            for c in rc.enumerate_optimal_colorings(g, cap=50).colorings:
+            for c in rc.enumerate_optimal_colorings(g):
                 for t in range(n):
                     for t2 in range(n):
                         if t == t2 or g.has_edge(t, t2) or c.colors[t] == c.colors[t2]:
@@ -228,7 +212,7 @@ def test_unique_color_neighbors_examples():
 def test_r_partition_property(graphs_by_n):
     for n in range(6):
         for g in graphs_by_n[n]:
-            for c in rc.enumerate_optimal_colorings(g, cap=20).colorings:
+            for c in rc.enumerate_optimal_colorings(g):
                 for u in range(n):
                     d = rc.unique_color_neighbors(g, c, u)
                     R, S, T = rst(d)
@@ -269,7 +253,7 @@ def test_build_sequence_structural_properties(graphs_by_n, flagc_family):
         for g in graphs_by_n[n]:
             if not rc.in_family(g, flagc_family).member:
                 continue
-            for c in rc.enumerate_optimal_colorings(g, cap=30).colorings:
+            for c in rc.enumerate_optimal_colorings(g):
                 for u in range(n):
                     d = rc.unique_color_neighbors(g, c, u)
                     _, S, T = rst(d)
