@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -124,6 +125,16 @@ def test_sweep_report_shape(flagc_family):
     )
     assert payload["audit"]["gate_full_pass_members"] == []
     json.dumps(payload)  # must be JSON-serializable as-is
+
+
+def test_audited_sweep_output_is_pinned(audited_theorem_sweep):
+    # every byte of the audited p5-flagc sweep with n <= 8 but its wall
+    # time: the 2,052 members at n = 8 are audited on first-fit rotations
+    payload = audited_theorem_sweep.to_json()
+    payload.pop("wall_time_s")
+    assert payload["members"] == 2677
+    assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == (
+        "ff66a933e69397ed8750ee66a78fb1fd9a372dc810269f26b239f4cd18830d69")
 
 
 @pytest.fixture
