@@ -19,9 +19,16 @@ Each statement is a pure function of that record that yields
 (status, vertices, hypothesis_failed) outcomes; its info dict is built
 from the record only when an outcome becomes an ``AuditFinding``.  The
 statements live in one ordered registry, through which whole-graph
-audits, single checks and replays dispatch.  A whole-graph audit counts
-every outcome but builds findings only for violated ones; ``check`` and
-``replay_finding`` build every finding.
+audits, single checks and replays dispatch.  The registry also holds the
+gate: I and the statements past it carry the one outcome they report
+where the gate fails, and the dispatcher reports it without running them.
+A whole-graph audit counts every outcome but builds findings only for
+violated ones; ``check`` and ``replay_finding`` build every finding.  It
+builds an instance only where the gate holds or T has two vertices:
+elsewhere every outcome is fixed (I gate-failed, the statements past the
+gate hypotheses-unmet, S2 and S3 none) and is counted in bulk.  Over the
+2,677 p5-flagc members with n <= 8 that leaves 8,793 of the 110,243
+(coloring, apex) instances to build.
 
 A whole-graph audit is handed the graph's invariant bundle, which a
 sweep has already computed, and reads omega, chi and the Reed bound
@@ -124,6 +131,14 @@ class _Pair(NamedTuple):
         return _single(self.of_t) and _single(self.of_t_prime)
 
 
+def _gate_conditions(g: Graph, d: UniqueColorDecomposition, omega: int,
+                     reed_bound: int) -> tuple[bool, bool]:
+    """The entry gate's degree and size conditions at ``d``'s apex u:
+    deg u >= |R| + 2*(bound - |R|) and |R| >= omega + 1."""
+    r = d.R_mask.bit_count()
+    return g.adj[d.u].bit_count() >= r + 2 * (reed_bound - r), r >= omega + 1
+
+
 class _Instance:
     """Everything the statements read about one (graph, coloring, apex).
 
@@ -132,7 +147,7 @@ class _Instance:
     use, so an instance that fails the gate never builds the levels.
     """
 
-    __slots__ = ("g", "graph6", "omega", "reed_bound", "c", "u", "d", "deg_u",
+    __slots__ = ("g", "graph6", "omega", "reed_bound", "c", "u", "d",
                  "degree_ok", "size_ok", "gate_holds", "_seq", "_pairs", "_claim")
 
     def __init__(self, g: Graph, graph6: str, omega: int, reed_bound: int,
@@ -144,10 +159,7 @@ class _Instance:
         self.c = c
         self.u = d.u
         self.d = d
-        r = d.R_mask.bit_count()
-        self.deg_u = g.adj[d.u].bit_count()
-        self.degree_ok = self.deg_u >= r + 2 * (reed_bound - r)
-        self.size_ok = r >= omega + 1
+        self.degree_ok, self.size_ok = _gate_conditions(g, d, omega, reed_bound)
         self.gate_holds = self.degree_ok and self.size_ok
         self._seq = self._pairs = self._claim = None
 
@@ -191,18 +203,20 @@ class _Instance:
 
 Outcome = tuple[str, tuple[int, ...], str | None]  # (status, vertices, hypothesis_failed)
 
+_GATE_FAILED = ("gate-failed", (), None)
 _GATE_UNMET = ("hypotheses-unmet", (), "gate-I")
 
 
 def _gate(x: _Instance) -> list[Outcome]:
-    """Entry gate: deg u >= |R| + 2*(bound - |R|) and |R| >= omega + 1."""
-    return [("holds" if x.gate_holds else "gate-failed", (), None)]
+    """Entry gate (see ``_gate_conditions``).  The dispatcher reports
+    ``gate-failed`` where it fails, so this runs only where it holds."""
+    return [("holds", (), None)]
 
 
 def _gate_info(x: _Instance, vertices, hypothesis_failed) -> dict:
     return {
         "R": _vertex_list(x.d.R_mask),
-        "deg_u": x.deg_u,
+        "deg_u": x.g.adj[x.u].bit_count(),
         "reed_bound": x.reed_bound,
         "omega": x.omega,
         "degree_condition": x.degree_ok,
@@ -219,8 +233,6 @@ def _statement_1(x: _Instance) -> list[Outcome]:
     in R, and then r is in T too.  If |T| = 2, S, one vertex of T and u
     would form a clique of |R| vertices.  Both cliques exceed omega.
     """
-    if not x.gate_holds:
-        return [_GATE_UNMET]
     # the gate already gives |R| >= omega + 1
     T = x.d.T_mask
     ok = T.bit_count() >= 2 or (not T and _is_clique(x.g.adj, x.d.R_mask))
@@ -284,8 +296,6 @@ def _statement_4(x: _Instance) -> list[Outcome]:
     """Past the gate with substitutes present, T' and the level-1 substitutes
     must induce a complete graph.  The T'-completeness sub-check is always
     reported in the finding's info."""
-    if not x.gate_holds:
-        return [_GATE_UNMET]
     t_prime, s1_prime = _s4_sets(x)
     if not t_prime:
         return [("hypotheses-unmet", (), "T-prime-empty")]
@@ -308,8 +318,6 @@ def _claim(x: _Instance) -> list[Outcome]:
     graph whose colors cover R's colors; since that would force a clique
     of size omega + 1, no instance can satisfy everything at once.  The
     completeness sub-check is always reported in the finding's info."""
-    if not x.gate_holds:
-        return [_GATE_UNMET]
     members, complete, covered = x.claim
     return [("holds" if complete and covered else "violated", tuple(iter_bits(members)), None)]
 
@@ -317,8 +325,6 @@ def _claim(x: _Instance) -> list[Outcome]:
 def _final(x: _Instance) -> list[Outcome]:
     """Closing contradiction: a complete W-plus-substitutes set covering R's
     colors would contain a clique on omega + 1 vertices, which cannot exist."""
-    if not x.gate_holds:
-        return [_GATE_UNMET]
     members, complete, covered = x.claim
     if not complete:
         return [("hypotheses-unmet", (), "claim-completeness")]
@@ -338,23 +344,41 @@ def _claim_info(x: _Instance, vertices, hypothesis_failed) -> dict:
 
 
 class Statement(NamedTuple):
-    """A registered statement: whether it needs a coloring that achieves
-    chi, its (status, vertices, hypothesis_failed) outcomes on one
-    instance, and the info of one outcome's finding."""
+    """A registered statement: its one outcome on an instance that fails the
+    gate (None if it runs on every instance), its (status, vertices,
+    hypothesis_failed) outcomes on one instance, and the info of one
+    outcome's finding.
 
-    needs_optimal: bool
+    The gate is defined on colorings that achieve chi only, so a statement
+    with a gate outcome needs such a coloring.  A statement without one
+    reads only the ordered non-adjacent pairs of T, so it has no outcome
+    where T has at most one vertex; ``_audit_instances`` relies on both.
+    """
+
+    on_failed_gate: Outcome | None
     outcomes: Callable[[_Instance], list[Outcome]]
     info: Callable[[_Instance, tuple[int, ...], str | None], dict]
 
+    @property
+    def needs_optimal(self) -> bool:
+        return self.on_failed_gate is not None
+
+    def run(self, x: _Instance) -> list[Outcome]:
+        """The dispatcher: the statement's outcomes on ``x``, or its gate
+        outcome when ``x`` fails the gate."""
+        if self.on_failed_gate is not None and not x.gate_holds:
+            return [self.on_failed_gate]
+        return self.outcomes(x)
+
 
 REGISTRY: dict[str, Statement] = {
-    "I": Statement(True, _gate, _gate_info),
-    "S1": Statement(True, _statement_1, _statement_1_info),
-    "S2": Statement(False, _statement_2, _statement_2_info),
-    "S3": Statement(False, _statement_3, _statement_3_info),
-    "S4": Statement(True, _statement_4, _statement_4_info),
-    "CLAIM": Statement(True, _claim, _claim_info),
-    "FINAL": Statement(True, _final, _claim_info),
+    "I": Statement(_GATE_FAILED, _gate, _gate_info),
+    "S1": Statement(_GATE_UNMET, _statement_1, _statement_1_info),
+    "S2": Statement(None, _statement_2, _statement_2_info),
+    "S3": Statement(None, _statement_3, _statement_3_info),
+    "S4": Statement(_GATE_UNMET, _statement_4, _statement_4_info),
+    "CLAIM": Statement(_GATE_UNMET, _claim, _claim_info),
+    "FINAL": Statement(_GATE_UNMET, _final, _claim_info),
 }
 STATEMENTS = tuple(REGISTRY)
 
@@ -380,8 +404,8 @@ def check(statement: str, g: Graph, c: Coloring, u: int) -> list[AuditFinding]:
     if not is_proper(g, c):
         raise ValueError("coloring is not proper")
     omega = clique_number(g)
-    needs_optimal, outcomes, _ = REGISTRY[statement]
-    if needs_optimal:
+    spec = REGISTRY[statement]
+    if spec.needs_optimal:
         chi = chromatic_number(g, omega=omega)
         if c.color_count != chi:
             raise ValueError(
@@ -390,7 +414,7 @@ def check(statement: str, g: Graph, c: Coloring, u: int) -> list[AuditFinding]:
             )
     bound = reed_bound(max_degree(g), omega)
     x = _Instance(g, graph_to_graph6(g), omega, bound, c, unique_color_neighbors(g, c, u))
-    return [_finding(statement, x, *outcome) for outcome in outcomes(x)]
+    return [_finding(statement, x, *outcome) for outcome in spec.run(x)]
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +470,8 @@ def audit_graph(g: Graph, bundle: InvariantBundle) -> AuditReport:
     S4, CLAIM, FINAL) only run on colorings that achieve chi; S2 and S3
     run on every proper policy coloring.  Every outcome is counted; only
     violated ones become findings, which follow the registry order within
-    one instance.
+    one instance.  An instance is built only where a statement can decide
+    something on it (see ``_audit_instances``).
     """
     graph6 = graph_to_graph6(g)
     if g.n > 10:
@@ -454,22 +479,51 @@ def audit_graph(g: Graph, bundle: InvariantBundle) -> AuditReport:
     if (bundle.n, bundle.m) != (g.n, g.m):
         raise ValueError(f"invariant bundle with n={bundle.n}, m={bundle.m} given for {graph6}")
     colorings, truncated = audit_colorings(g, bundle.chi)
+    counters, violations, gate_full_pass = _audit_instances(g, graph6, bundle, colorings)
+    return AuditReport(
+        graph6=graph6,
+        chi=bundle.chi,
+        colorings_used=len(colorings),
+        truncated=truncated,
+        counters=counters,
+        violations=violations,
+        gate_full_pass_colorings=gate_full_pass,
+    )
+
+
+def _audit_instances(g: Graph, graph6: str, bundle: InvariantBundle,
+                     colorings: tuple[Coloring, ...]) -> tuple[dict, tuple[AuditFinding, ...], int]:
+    """The counters, the violated findings and the number of colorings that
+    pass the gate at every vertex, over every (coloring, apex) instance.
+
+    Where the gate fails, every statement with a gate outcome reports it, so
+    those outcomes are counted in bulk and the instance runs only the other
+    statements; a coloring short of chi runs only those too.  They read the
+    pairs of T alone, so where T has at most one vertex no instance is built.
+    """
+    omega, reed_bound = bundle.omega, bundle.reed_bound
     counters = {s: {st: 0 for st in STATUSES} for s in STATEMENTS}
-    # the statements run on an optimal coloring, and on any other
-    runs = {optimal: [(name, counters[name], spec.outcomes) for name, spec in REGISTRY.items()
-                      if optimal or not spec.needs_optimal]
-            for optimal in (True, False)}
+    everything = [(name, counters[name], spec.outcomes) for name, spec in REGISTRY.items()]
+    ungated = [(name, counters[name], spec.outcomes) for name, spec in REGISTRY.items()
+               if spec.on_failed_gate is None]
     violations: list[AuditFinding] = []
-    gate_full_pass = 0
+    gate_full_pass = failed_gates = 0
 
     for c in colorings:
         optimal = c.color_count == bundle.chi
         all_gates_hold = optimal and g.n > 0
         for u in range(g.n):
-            x = _Instance(g, graph6, bundle.omega, bundle.reed_bound, c,
-                          unique_color_neighbors(g, c, u))
-            all_gates_hold = all_gates_hold and x.gate_holds
-            for name, counter, outcomes in runs[optimal]:
+            d = unique_color_neighbors(g, c, u)
+            if optimal and all(_gate_conditions(g, d, omega, reed_bound)):
+                run = everything
+            else:
+                all_gates_hold = False
+                failed_gates += optimal
+                if not d.T_mask & (d.T_mask - 1):
+                    continue
+                run = ungated
+            x = _Instance(g, graph6, omega, reed_bound, c, d)
+            for name, counter, outcomes in run:
                 for status, vertices, hypothesis_failed in outcomes(x):
                     counter[status] += 1
                     if status == "violated":
@@ -477,15 +531,10 @@ def audit_graph(g: Graph, bundle: InvariantBundle) -> AuditReport:
         if all_gates_hold:
             gate_full_pass += 1
 
-    return AuditReport(
-        graph6=graph6,
-        chi=bundle.chi,
-        colorings_used=len(colorings),
-        truncated=truncated,
-        counters=counters,
-        violations=tuple(violations),
-        gate_full_pass_colorings=gate_full_pass,
-    )
+    for name, spec in REGISTRY.items():
+        if spec.on_failed_gate is not None:
+            counters[name][spec.on_failed_gate[0]] += failed_gates
+    return counters, tuple(violations), gate_full_pass
 
 
 def replay_finding(certificate: dict) -> AuditFinding:

@@ -33,7 +33,6 @@ worker count.  An audit never truncates its coloring policy (see
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -247,6 +246,8 @@ def _run_chunks(family: FamilySpec, graphs: list[Graph], audit: bool,
         (family, graphs[i:i + chunk_size], audit, members_only)
         for i in range(0, len(graphs), chunk_size)
     ]
+    import multiprocessing  # only here: a serial run does not pay for the import
+
     with multiprocessing.Pool(min(workers, os.cpu_count() or 1, len(chunks))) as pool:
         total, *parts = pool.map(_sweep_chunk, chunks)
     for part in parts:

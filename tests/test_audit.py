@@ -3,12 +3,16 @@ import json
 import random
 from collections import Counter
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reedcheck as rc
-from reedcheck.audit import REGISTRY, STATEMENTS, STATUSES, audit_colorings, check, replay_finding
-from reedcheck.coloring import Coloring
+from reedcheck.audit import (REGISTRY, STATEMENTS, STATUSES, AuditReport, _audit_instances,
+                             _finding, _Instance, audit_colorings, check, replay_finding)
+from reedcheck.coloring import Coloring, unique_color_neighbors
 from reedcheck.graphs import Graph
 
 C5 = Graph.cycle(5)
@@ -269,25 +273,77 @@ def _mycielski(g):
 # Mycielski graph of K3 (n = 31, omega 3, chi 6)
 M3K3_COLORS = (0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 0, 1, 2, 3, 4, 0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 0, 1, 2,
                3, 4, 5)
+# the Mycielski graph of the Groetzsch graph (n = 23, omega 2, chi 5) and two
+# 5-colorings under which its hub 22 passes the gate (shadows of one color
+# but three, each of those colored like its original)
+M2C5 = _mycielski(_mycielski(C5))
+HUB_COLORS = ((1, 2, 1, 2, 3, 1, 2, 1, 2, 3, 4, 1, 2, 0, 0, 3, 0, 0, 0, 0, 0, 0, 4),
+              (3, 4, 3, 1, 4, 0, 4, 0, 0, 0, 3, 2, 4, 2, 2, 2, 2, 1, 2, 2, 0, 2, 3))
+
+
+def _star_gadget():
+    # M2C5 sets chi = 5 (omega 2); a disjoint K1,11 sets Delta = 11 (bound
+    # 7) and frees its center's neighborhood: leaves colored 1, 2, 3 and
+    # eight times 4 give R = the first three leaves, an independent set,
+    # and no substitutes at all
+    center, leaves = 23, range(24, 35)
+    g = Graph.from_edges(35, list(M2C5.edges()) + [(center, v) for v in leaves])
+    return g, Coloring(HUB_COLORS[0] + (0, 1, 2, 3) + (4,) * 8, 5), center
+
+
+# S is nonempty only if an edge inside R closes a triangle with u, so
+# omega >= 3 and, past the gate, chi >= 6: M^3(K3) sets chi, and a disjoint
+# gadget sets Delta = 16 (bound 10) at u = 31, where R = {s = 32} + T =
+# {33, 34, 35} and s meets all of T; the path 33-48-49 gives T' = {48}
+# (colored like 34, next to 33) and, since s misses 48, the level-1
+# substitute 49 (colored like s).  With the edge s-48 added, s sees all of
+# T', so no level 1 forms and s stays in the core: W = S = {32}
+M3K3 = _mycielski(_mycielski(_mycielski(Graph.complete(3))))
+S_GADGET_EXTRAS = ((), ((32, 48),))
+
+
+def _s_gadget(extra):
+    u, s, leaves = 31, 32, (33, 34, 35)
+    g = Graph.from_edges(50, list(M3K3.edges()) + [(u, v) for v in range(32, 48)]
+                         + [(s, v) for v in leaves] + [(33, 48), (48, 49), *extra])
+    return g, Coloring(M3K3_COLORS + (0, 1, 2, 3, 4) + (5,) * 12 + (3, 1), 6), u
+
+
+def _random_gadgets():
+    # M^3(K3) plus a random gadget: an apex u = 31 whose neighbors are four
+    # R-vertices colored 1..4 with random edges among them and twelve
+    # leaves colored 5, and one to six outside vertices with random colors
+    # and random edges to R and to each other, all properly colored.  A
+    # draw with omega 3 and Delta 16 (bound 10) passes the gate at u; the
+    # others of the 40 seeded draws are dropped.
+    u, R = 31, range(32, 36)
+    rnd = random.Random(1)
+    for _ in range(40):
+        outside = range(48, 48 + rnd.randint(1, 6))
+        colors = (M3K3_COLORS + (0, 1, 2, 3, 4) + (5,) * 12
+                  + tuple(rnd.randrange(6) for _ in outside))
+        edges = list(M3K3.edges()) + [(u, v) for v in range(32, 48)]
+        edges += [e for e in combinations(R, 2) if rnd.random() < 0.5]
+        edges += [(r, x) for x in outside for r in R
+                  if colors[r] != colors[x] and rnd.random() < 0.5]
+        edges += [(x, y) for x, y in combinations(outside, 2)
+                  if colors[x] != colors[y] and rnd.random() < 0.5]
+        g = Graph.from_edges(48 + len(outside), edges)
+        if rc.clique_number(g) == 3 and rc.max_degree(g) == 16:
+            yield g, Coloring(colors, 6), u
 
 
 def test_statements_past_the_gate():
     # passing the gate needs chi >= omega + 3 wherever the Reed bound holds,
-    # and no graph audited at n <= 8 passes it; the Mycielski graph of the
-    # Groetzsch graph (n = 23, omega 2, chi 5) does at its hub under these
-    # 5-colorings (shadows of one color but three, each of those colored
-    # like its original)
-    g = _mycielski(_mycielski(C5))
+    # and no graph audited at n <= 8 passes it; M2C5 does at its hub
     hub = 22
     cases = {
-        (1, 2, 1, 2, 3, 1, 2, 1, 2, 3, 4, 1, 2, 0, 0, 3, 0, 0, 0, 0, 0, 0, 4):
-            ([11, 12, 15], tuple(range(10)), True),
-        (3, 4, 3, 1, 4, 0, 4, 0, 0, 0, 3, 2, 4, 2, 2, 2, 2, 1, 2, 2, 0, 2, 3):
-            ([12, 17, 20], (3, 5, 7), False),
+        HUB_COLORS[0]: ([11, 12, 15], tuple(range(10)), True),
+        HUB_COLORS[1]: ([12, 17, 20], (3, 5, 7), False),
     }
     for colors, (R, substitutes, covered) in cases.items():
         c = Coloring(colors, 5)
-        findings = {s: check(s, g, c, hub) for s in ("I", "S1", "S4", "CLAIM", "FINAL")}
+        findings = {s: check(s, M2C5, c, hub) for s in ("I", "S1", "S4", "CLAIM", "FINAL")}
         assert [(s, f.status, f.hypothesis_failed) for s, [f] in findings.items()] == [
             ("I", "holds", None), ("S1", "holds", None), ("S4", "violated", None),
             ("CLAIM", "violated", None), ("FINAL", "hypotheses-unmet", "claim-completeness")]
@@ -306,15 +362,7 @@ def test_statements_past_the_gate():
 
 
 def test_final_violated_on_a_star_gadget():
-    # the Mycielski graph of the Groetzsch graph sets chi = 5 (omega 2); a
-    # disjoint K1,11 sets Delta = 11 (bound 7) and frees its center's
-    # neighborhood: leaves colored 1, 2, 3 and eight times 4 give R = the
-    # first three leaves, an independent set, and no substitutes at all
-    mycielski = _mycielski(_mycielski(C5))
-    center, leaves = 23, range(24, 35)
-    g = Graph.from_edges(35, list(mycielski.edges()) + [(center, v) for v in leaves])
-    first = (1, 2, 1, 2, 3, 1, 2, 1, 2, 3, 4, 1, 2, 0, 0, 3, 0, 0, 0, 0, 0, 0, 4)
-    c = Coloring(first + (0, 1, 2, 3) + (4,) * 8, 5)
+    g, c, center = _star_gadget()
     findings = {s: check(s, g, c, center) for s in STATEMENTS}
     assert [(s, f.status, f.vertices, f.hypothesis_failed)
             for s, fs in findings.items() for f in fs] == [
@@ -340,24 +388,13 @@ def test_final_violated_on_a_star_gadget():
 
 
 def test_statements_past_the_gate_with_S_nonempty():
-    # S is nonempty only if an edge inside R closes a triangle with u, so
-    # omega >= 3 and, past the gate, chi >= 6: M^3(K3) (n = 31, omega 3,
-    # chi 6) sets chi, and a disjoint gadget sets Delta = 16 (bound 10) at
-    # u = 31, where R = {s = 32} + T = {33, 34, 35} and s meets all of T;
-    # the path 33-48-49 gives T' = {48} (colored like 34, next to 33) and,
-    # since s misses 48, the level-1 substitute 49 (colored like s).  With
-    # the edge s-48 added, s sees all of T', so no level 1 forms and s
-    # stays in the core: W = S = {32} joins T' in CLAIM and FINAL
-    mycielski = _mycielski(_mycielski(_mycielski(Graph.complete(3))))
-    u, s, leaves = 31, 32, (33, 34, 35)
-    c = Coloring(M3K3_COLORS + (0, 1, 2, 3, 4) + (5,) * 12 + (3, 1), 6)
+    # see _s_gadget: W = S = {32} joins T' in CLAIM and FINAL once s-48 is in
     cases = {  # extra edges: (T', S1', W plus all substitutes)
-        (): ([48], [49], [48, 49]),
-        ((s, 48),): ([48], [], [32, 48]),
+        S_GADGET_EXTRAS[0]: ([48], [49], [48, 49]),
+        S_GADGET_EXTRAS[1]: ([48], [], [32, 48]),
     }
     for extra, (t_prime, s1_prime, members) in cases.items():
-        g = Graph.from_edges(50, list(mycielski.edges()) + [(u, v) for v in range(32, 48)]
-                             + [(s, v) for v in leaves] + [(33, 48), (48, 49), *extra])
+        g, c, u = _s_gadget(extra)
         findings = {name: check(name, g, c, u) for name in STATEMENTS}
         assert [(name, f.status, f.vertices, f.hypothesis_failed)
                 for name, fs in findings.items() for f in fs] == [
@@ -386,29 +423,9 @@ def test_statements_past_the_gate_with_S_nonempty():
 
 
 def test_impossibility_arguments_on_random_gadgets():
-    # M^3(K3) plus a random gadget: an apex u = 31 whose neighbors are four
-    # R-vertices colored 1..4 with random edges among them and twelve
-    # leaves colored 5, and one to six outside vertices with random colors
-    # and random edges to R and to each other, all properly colored.  A
-    # draw with omega 3 and Delta 16 (bound 10) passes the gate at u.
-    mycielski = _mycielski(_mycielski(_mycielski(Graph.complete(3))))
-    u, R = 31, range(32, 36)
-    rnd = random.Random(1)
     kept = 0
     reached = Counter()
-    for _ in range(40):
-        outside = range(48, 48 + rnd.randint(1, 6))
-        colors = (M3K3_COLORS + (0, 1, 2, 3, 4) + (5,) * 12
-                  + tuple(rnd.randrange(6) for _ in outside))
-        edges = list(mycielski.edges()) + [(u, v) for v in range(32, 48)]
-        edges += [e for e in combinations(R, 2) if rnd.random() < 0.5]
-        edges += [(r, x) for x in outside for r in R
-                  if colors[r] != colors[x] and rnd.random() < 0.5]
-        edges += [(x, y) for x, y in combinations(outside, 2)
-                  if colors[x] != colors[y] and rnd.random() < 0.5]
-        g, c = Graph.from_edges(48 + len(outside), edges), Coloring(colors, 6)
-        if rc.clique_number(g) != 3 or rc.max_degree(g) != 16:
-            continue
+    for g, c, u in _random_gadgets():
         kept += 1
         findings = {name: check(name, g, c, u) for name in STATEMENTS}
         assert [f.status for f in findings["I"]] == ["holds"]
@@ -441,3 +458,75 @@ def test_registry_order_is_statements():
     assert STATEMENTS == ("I", "S1", "S2", "S3", "S4", "CLAIM", "FINAL")
     with pytest.raises(ValueError):
         check("S5", C5, APEX, 0)
+
+
+# the audit against the loop it replaced --------------------------------------
+
+def _oracle_outcomes(name, x):
+    # the gate as each statement checked it before the registry dispatched it
+    if name == "I":
+        return [("holds" if x.gate_holds else "gate-failed", (), None)]
+    if name in ("S1", "S4", "CLAIM", "FINAL") and not x.gate_holds:
+        return [("hypotheses-unmet", (), "gate-I")]
+    return REGISTRY[name].outcomes(x)
+
+
+def _oracle_audit(g, bundle, colorings):
+    """Counters, violated findings and gate full passes, building every
+    instance and calling every statement that the coloring allows."""
+    graph6 = rc.graph_to_graph6(g)
+    counters = {s: {st: 0 for st in STATUSES} for s in STATEMENTS}
+    violations = []
+    gate_full_pass = 0
+    for c in colorings:
+        optimal = c.color_count == bundle.chi
+        all_gates_hold = optimal and g.n > 0
+        for u in range(g.n):
+            x = _Instance(g, graph6, bundle.omega, bundle.reed_bound, c,
+                          unique_color_neighbors(g, c, u))
+            all_gates_hold = all_gates_hold and x.gate_holds
+            for name in STATEMENTS:
+                if not optimal and name not in ("S2", "S3"):
+                    continue
+                for status, vertices, hypothesis_failed in _oracle_outcomes(name, x):
+                    counters[name][status] += 1
+                    if status == "violated":
+                        violations.append(_finding(name, x, status, vertices, hypothesis_failed))
+        if all_gates_hold:
+            gate_full_pass += 1
+    return counters, tuple(violations), gate_full_pass
+
+
+@st.composite
+def _gnp(draw, n_min, n_max):
+    n = draw(st.integers(n_min, n_max))
+    p = draw(st.floats(0.1, 0.9))
+    rnd = draw(st.randoms(use_true_random=False))
+    return Graph.from_edges(n, [e for e in combinations(range(n), 2) if rnd.random() < p])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gnp(1, 10))
+def test_audit_equals_the_oracle_on_random_graphs(g):
+    # members and non-members alike: the S2 and S3 violations of
+    # non-members check that the findings keep their order
+    bundle = rc.invariant_bundle(g)
+    colorings, truncated = audit_colorings(g, bundle.chi)
+    expected = AuditReport(rc.graph_to_graph6(g), bundle.chi, len(colorings), truncated,
+                           *_oracle_audit(g, bundle, colorings))
+    assert rc.audit_graph(g, bundle).to_json() == expected.to_json()
+
+
+def test_audit_equals_the_oracle_past_the_gate():
+    # the graphs are too large for audit_graph, so the instances of the one
+    # coloring run through its loop directly, at every apex
+    cases = [(M2C5, Coloring(colors, 5), 22) for colors in HUB_COLORS]
+    cases += [_star_gadget(), *map(_s_gadget, S_GADGET_EXTRAS), *_random_gadgets()]
+    assert len(cases) == 27
+    for g, c, u in cases:
+        omega = rc.clique_number(g)
+        bundle = SimpleNamespace(omega=omega, chi=c.color_count,
+                                 reed_bound=rc.reed_bound(rc.max_degree(g), omega))
+        expected = _oracle_audit(g, bundle, (c,))
+        assert expected[0]["I"]["holds"] >= 1  # the gate holds at u at least
+        assert _audit_instances(g, rc.graph_to_graph6(g), bundle, (c,)) == expected

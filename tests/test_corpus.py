@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import sys
 
 import pytest
@@ -155,7 +156,7 @@ def fake_pool(monkeypatch):
         def map(self, fn, chunks):
             return [fn(chunk) for chunk in chunks]
 
-    monkeypatch.setattr(corpus.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(corpus.os, "cpu_count", lambda: 3)
     return sizes
 
