@@ -425,7 +425,7 @@ def audit_colorings(g: Graph, chi: int) -> tuple[tuple[Coloring, ...], bool]:
     """The audit coloring policy: all canonical optimal colorings for n <= 7
     (no such graph has more than 81), first-fit colorings from every vertex
     rotation above that.  ``chi`` must be the chromatic number of ``g``.
-    The second item, whether the list was truncated, is always False."""
+    The second item is always False; the benchmark's tracer unpacks it."""
     if g.n <= 7:
         return enumerate_optimal_colorings(g, chi=chi), False
     seen = []
@@ -445,7 +445,6 @@ class AuditReport:
     graph6: str
     chi: int
     colorings_used: int
-    truncated: bool
     counters: dict
     violations: tuple[AuditFinding, ...]
     gate_full_pass_colorings: int
@@ -455,7 +454,6 @@ class AuditReport:
             "graph6": self.graph6,
             "chi": self.chi,
             "colorings_used": self.colorings_used,
-            "truncated": self.truncated,
             "counters": self.counters,
             "violations": [f.to_json() for f in self.violations],
             "gate_full_pass_colorings": self.gate_full_pass_colorings,
@@ -478,13 +476,12 @@ def audit_graph(g: Graph, bundle: InvariantBundle) -> AuditReport:
         raise ValueError(f"audit is limited to 10 vertices, got n={g.n} in {graph6}")
     if (bundle.n, bundle.m) != (g.n, g.m):
         raise ValueError(f"invariant bundle with n={bundle.n}, m={bundle.m} given for {graph6}")
-    colorings, truncated = audit_colorings(g, bundle.chi)
+    colorings, _ = audit_colorings(g, bundle.chi)
     counters, violations, gate_full_pass = _audit_instances(g, graph6, bundle, colorings)
     return AuditReport(
         graph6=graph6,
         chi=bundle.chi,
         colorings_used=len(colorings),
-        truncated=truncated,
         counters=counters,
         violations=violations,
         gate_full_pass_colorings=gate_full_pass,

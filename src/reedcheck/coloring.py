@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .graphs import Graph, iter_bits
 from .invariants import chromatic_number
@@ -198,12 +199,12 @@ def find_bicolor_path4(g: Graph, c: Coloring, t: int,
 # unique-color decompositions around an apex vertex
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UniqueColorDecomposition:
+class UniqueColorDecomposition(NamedTuple):
     """R, S, T around an apex vertex for one proper coloring, as vertex masks.
 
     R holds the neighbors of u whose color appears exactly once in N(u);
-    S those adjacent to every other vertex of R; T is the rest of R.
+    S those adjacent to every other vertex of R; T is the rest of R.  A
+    tuple, as an audit builds one per instance: cheaper than a dataclass.
     """
 
     u: int

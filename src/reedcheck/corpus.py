@@ -20,15 +20,15 @@ enumeration therefore decides membership level by level and tests a
 graph only when its parent (the graph on its first n-1 vertices, which it
 was extended from) is a member; the rest are counted as examined without
 a search.  A graph6 stream need not contain the parents of its graphs,
-so a stream sweep tests every line.  Work is partitioned into contiguous
-chunks of the stream, or of an internal sweep's members.  Totals have
-one shape, :class:`SweepReport`, whether they cover one member, one
+so a stream sweep tests every line.  Both sweeps hand one loop an
+iterator of graphs, which a pool takes in fixed-size contiguous chunks
+cut off it as they are needed, so no corpus is held in memory.  Totals
+have one shape, :class:`SweepReport`, whether they cover one member, one
 chunk or the whole sweep, and one fold adds them up: each member's into
 its chunk's, and the chunks' into the sweep's in chunk order.  The
 capped lists (20 tight exemplars, 100 audit certificates) therefore keep
 the first entries of the stream, and reports are byte-identical for any
-worker count.  An audit never truncates its coloring policy (see
-``audit_colorings``), so ``colorings_truncated`` stays 0.
+worker count.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain, islice
 
 from .audit import STATEMENTS, STATUSES, AuditReport, audit_graph
 from .graphs import (Graph, Graph6Error, _column_bits, graph_from_graph6, graph_to_graph6,
@@ -48,6 +49,7 @@ MAX_ENUMERATION_N = 9
 
 _EXEMPLAR_CAP = 20
 _AUDIT_CERT_CAP = 100
+_CHUNK_SIZE = 32  # graphs per pool task: few, so that short sweeps keep a pool busy
 
 
 @lru_cache(maxsize=None)
@@ -192,7 +194,6 @@ class SweepReport:
         certs = dst["violated_certificates"]
         certs.extend(src["violated_certificates"][:_AUDIT_CERT_CAP - len(certs)])
         dst["gate_full_pass_members"].extend(src["gate_full_pass_members"])
-        dst["colorings_truncated"] += src["colorings_truncated"]
 
 
 def _member_part(family: str, g: Graph, bundle: InvariantBundle,
@@ -211,19 +212,16 @@ def _member_part(family: str, g: Graph, bundle: InvariantBundle,
             "violated_certificates": [f.to_json() for f in report.violations[:_AUDIT_CERT_CAP]],
             "violated_total": len(report.violations),
             "gate_full_pass_members": [g6] if report.gate_full_pass_colorings else [],
-            "colorings_truncated": int(report.truncated),
         }
     return part
 
 
-def _sweep_chunk(args) -> SweepReport:
-    family, graphs, audit, members_only = args
+def _sweep_chunk(family: FamilySpec, audit: bool, members_only: bool, graphs) -> SweepReport:
     part = SweepReport(family.name, audit={
         "instances": {s: dict.fromkeys(STATUSES, 0) for s in STATEMENTS},
         "violated_certificates": [],
         "violated_total": 0,
         "gate_full_pass_members": [],
-        "colorings_truncated": 0,
     } if audit else None)
     for g in graphs:
         if members_only or in_family(g, family).member:
@@ -235,23 +233,28 @@ def _sweep_chunk(args) -> SweepReport:
     return part
 
 
-def _run_chunks(family: FamilySpec, graphs: list[Graph], audit: bool,
-                workers: int, members_only: bool = False) -> SweepReport:
-    """Sweep totals over ``graphs``; with ``members_only`` every graph is
-    already known to be a member and is not tested again."""
-    if workers <= 1 or len(graphs) < 2 * workers:
-        return _sweep_chunk((family, graphs, audit, members_only))
-    chunk_size = max(1, (len(graphs) + workers * 4 - 1) // (workers * 4))
-    chunks = [
-        (family, graphs[i:i + chunk_size], audit, members_only)
-        for i in range(0, len(graphs), chunk_size)
-    ]
+def _sweep_graphs(family: FamilySpec, graphs, audit: bool, workers: int,
+                  members_only: bool = False) -> SweepReport:
+    """Sweep totals over the iterable ``graphs``; with ``members_only`` every
+    graph is already known to be a member and is not tested again.
+
+    With ``workers > 1`` and more than one chunk, an order-keeping pool runs
+    contiguous chunks of ``_CHUNK_SIZE`` graphs, cut off ``graphs`` as it
+    asks for them, and each part is folded as it arrives, in stream order.
+    """
+    graphs = iter(graphs)
+    chunks = iter(lambda: list(islice(graphs, _CHUNK_SIZE)), [])
+    processes = min(workers, os.cpu_count() or 1)
+    head = list(islice(chunks, 2)) if processes > 1 else []
+    if len(head) < 2:
+        return _sweep_chunk(family, audit, members_only, chain(*head, graphs))
     import multiprocessing  # only here: a serial run does not pay for the import
 
-    with multiprocessing.Pool(min(workers, os.cpu_count() or 1, len(chunks))) as pool:
-        total, *parts = pool.map(_sweep_chunk, chunks)
-    for part in parts:
-        total.fold(part)
+    with multiprocessing.Pool(processes) as pool:
+        parts = pool.imap(partial(_sweep_chunk, family, audit, members_only), chain(head, chunks))
+        total = next(parts)
+        for part in parts:
+            total.fold(part)
     return total
 
 
@@ -264,23 +267,23 @@ def sweep(family: FamilySpec, n_max: int, *, audit: bool = False,
     start = time.monotonic()
     untested = SweepReport(family.name)
     members = _hereditary_members(family, n_max, untested)
-    report = _run_chunks(family, members, audit, workers, members_only=True)
+    report = _sweep_graphs(family, members, audit, workers, members_only=True)
     report.fold(untested)
     report.n_max = n_max
     report.wall_time_s = time.monotonic() - start
     return report
 
 
-def _hereditary_members(family: FamilySpec, n_max: int, untested: SweepReport) -> list[Graph]:
+def _hereditary_members(family: FamilySpec, n_max: int, untested: SweepReport):
     """The members with at most ``n_max`` vertices, in enumeration order.
 
     Membership is decided level by level.  A graph's parent is the graph on
     its first n-1 vertices, which orderly extension built it from; since the
     family is hereditary, a child of a non-member is no member and is not
-    tested.  Every graph that is not returned is counted into ``untested``
-    as examined.
+    tested.  Every graph not yielded is counted into ``untested`` as
+    examined; a pool runs this generator on its task-feeder thread, so read
+    ``untested`` only once the generator is exhausted.
     """
-    members: list[Graph] = []
     # adjacency rows of the previous level's members; the empty graph's
     # parent rows are () too, so level 0 is always tested
     parents = {()}
@@ -291,11 +294,10 @@ def _hereditary_members(family: FamilySpec, n_max: int, untested: SweepReport) -
         for g in graphs:
             if (tuple(row & low for row in g.adj[:n - 1]) in parents
                     and in_family(g, family).member):
-                members.append(g)
                 level.add(g.adj)
+                yield g
         untested.count(n, examined=len(graphs) - len(level))
         parents = level
-    return members
 
 
 def sweep_stream(family: FamilySpec, lines, *, strict: bool = True, audit: bool = False,
@@ -303,8 +305,7 @@ def sweep_stream(family: FamilySpec, lines, *, strict: bool = True, audit: bool 
     """Same verification over an external graph6 stream (one graph per line)."""
     start = time.monotonic()
     stream = Graph6Stream(lines, strict=strict)
-    graphs = [g for _, g in stream]
-    report = _run_chunks(family, graphs, audit, workers)
+    report = _sweep_graphs(family, (g for _, g in stream), audit, workers)
     report.skipped_lines = len(stream.skipped)
     report.wall_time_s = time.monotonic() - start
     return report

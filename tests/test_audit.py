@@ -511,8 +511,8 @@ def test_audit_equals_the_oracle_on_random_graphs(g):
     # members and non-members alike: the S2 and S3 violations of
     # non-members check that the findings keep their order
     bundle = rc.invariant_bundle(g)
-    colorings, truncated = audit_colorings(g, bundle.chi)
-    expected = AuditReport(rc.graph_to_graph6(g), bundle.chi, len(colorings), truncated,
+    colorings, _ = audit_colorings(g, bundle.chi)
+    expected = AuditReport(rc.graph_to_graph6(g), bundle.chi, len(colorings),
                            *_oracle_audit(g, bundle, colorings))
     assert rc.audit_graph(g, bundle).to_json() == expected.to_json()
 

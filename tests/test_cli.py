@@ -141,6 +141,31 @@ def test_sweep_workers_byte_identical(capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_bad_lines_under_a_real_pool(capsys, tmp_path, graphs_by_n):
+    # a pool reads the stream on its task-feeder thread, and re-raises a
+    # decoding error from there in a worker: the error must still name the line
+    lines = [rc.graph_to_graph6(g) + "\n" for n in range(7) for g in graphs_by_n[n]]
+    lines[149:149] = ["!bad\n"]
+    family = rc.FAMILIES["p5-flagc"]
+    messages = []
+    for workers in (1, 2):
+        with pytest.raises(rc.Graph6Error) as err:
+            rc.sweep_stream(family, lines, workers=workers)
+        messages.append(str(err.value))
+    assert messages[0].startswith("line 150: ")
+    assert messages[1] == messages[0]
+    src = tmp_path / "graphs.g6"
+    src.write_text("".join(lines))
+    code, _, err = run(capsys, "sweep", "--source", str(src), "--workers", "2")
+    assert code == 2
+    assert err.startswith("error: line 150: ")
+    serial, pooled = (rc.sweep_stream(family, lines, strict=False, audit=True, workers=workers)
+                      for workers in (1, 2))
+    assert pooled.skipped_lines == serial.skipped_lines == 1
+    pooled.wall_time_s = serial.wall_time_s
+    assert pooled == serial
+
+
 def test_bad_workers_is_a_usage_error(capsys):
     code, _, err = run(capsys, "sweep", "--n-max", "4", "--workers", "-5")
     assert code == 2
@@ -208,7 +233,7 @@ def test_audit_source_output_is_pinned(capsys, tmp_path, graphs_by_n):
     assert len(rows) == 209
     assert sum(len(row["violations"]) for row in rows) == 8
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "44cf60893b3f15ad8da1bc929f205e2a69e7164bf375a5c0fd5e2812d709cd4d")
+        "05aa6df5c278a3d531fe8dfda0025a0337c8f104a7e5aae5049e9b647a3abb97")
 
 
 def _audit_source(capsys, tmp_path, lines):
@@ -226,7 +251,7 @@ def test_audit_source_output_is_pinned_at_n7(capsys, tmp_path, graphs_by_n):
     assert len(rows) == 1044
     assert sum(len(row["violations"]) for row in rows) == 296
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "ff5409fb29098ae06cb2e7e0aab7d07089e4111486074826d4b722aa48ac11f7")
+        "a0f6e66927387f5fa8f9bc4a85909cea04b4dfbe7bf28b92ae391a06a0ce337a")
 
 
 def test_audit_source_output_is_pinned_on_random_graphs(capsys, tmp_path):
@@ -246,7 +271,7 @@ def test_audit_source_output_is_pinned_on_random_graphs(capsys, tmp_path):
     assert sum(row["counters"]["S3"]["holds"] for row in rows) == 2
     assert sum(row["counters"]["S3"]["violated"] for row in rows) == 1
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "6bfd6df0f6f15d1a2ecbf0bf52b080a4add489e1a949083a4ef6068456c6b20b")
+        "d495965092510cb12268e623fb212fb606f775700812f9b9f7d83a6695774de8")
 
 
 def test_patterns_command(capsys):

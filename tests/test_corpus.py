@@ -1,6 +1,7 @@
 import hashlib
 import json
 import multiprocessing
+import subprocess
 import sys
 
 import pytest
@@ -135,7 +136,7 @@ def test_audited_sweep_output_is_pinned(audited_theorem_sweep):
     payload.pop("wall_time_s")
     assert payload["members"] == 2677
     assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == (
-        "ff66a933e69397ed8750ee66a78fb1fd9a372dc810269f26b239f4cd18830d69")
+        "91bc7025b2bef48596b620563108ae03118066e1ab1c3471afe949c5562747bb")
 
 
 @pytest.fixture
@@ -153,8 +154,8 @@ def fake_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, chunks):
-            return [fn(chunk) for chunk in chunks]
+        def imap(self, fn, chunks):
+            return map(fn, chunks)
 
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(corpus.os, "cpu_count", lambda: 3)
@@ -163,9 +164,9 @@ def fake_pool(monkeypatch):
 
 def test_pool_size_is_capped_by_cpu_count(flagc_family, graphs_by_n, fake_pool):
     graphs = [g for n in range(6) for g in graphs_by_n[n]]
-    serial = corpus._run_chunks(flagc_family, graphs, False, 1)
-    assert corpus._run_chunks(flagc_family, graphs, False, 8) == serial
-    assert corpus._run_chunks(flagc_family, graphs, False, 2) == serial
+    serial = corpus._sweep_graphs(flagc_family, graphs, False, 1)
+    assert corpus._sweep_graphs(flagc_family, graphs, False, 8) == serial
+    assert corpus._sweep_graphs(flagc_family, graphs, False, 2) == serial
     assert fake_pool == [3, 2]
 
 
@@ -173,8 +174,8 @@ def test_audit_totals_merge_across_chunks(graphs_by_n, fake_pool):
     everything = rc.FamilySpec("all-graphs", ())
     graphs = [g for n in range(8) for g in graphs_by_n[n]]
     assert len(graphs) == 1253
-    serial = corpus._run_chunks(everything, graphs, True, 1)
-    assert corpus._run_chunks(everything, graphs, True, 3) == serial
+    serial = corpus._sweep_graphs(everything, graphs, True, 1)
+    assert corpus._sweep_graphs(everything, graphs, True, 3) == serial
     assert fake_pool == [3]
     audit = serial.audit
     assert audit["violated_total"] == 304
@@ -214,7 +215,7 @@ def test_hereditary_sweep_equals_filter_after_enumerate(family, graphs_by_n, fak
         assert report.per_n[n]["members"] == sum(
             rc.in_family(g, family).member for g in graphs_by_n[n])
     # the same totals as testing every enumerated graph inside the chunks
-    filtered = corpus._run_chunks(family, graphs, False, 1)
+    filtered = corpus._sweep_graphs(family, graphs, False, 1)
     assert (report.examined, report.members, report.per_n, report.violations,
             report.tight_count, report.tight_exemplars) == (
         filtered.examined, filtered.members, filtered.per_n, filtered.violations,
@@ -275,3 +276,44 @@ def test_totals_are_the_sums_of_their_per_n_rows(workers, flagc_family, graphs_b
         assert report.examined == len(lines) - 2
         _assert_totals_are_row_sums(report)
     assert len(fake_pool) == (0 if workers == 1 else 8)
+
+
+def test_stream_sweep_reads_lines_as_it_goes(graphs_by_n, monkeypatch):
+    everything = rc.FamilySpec("all-graphs", ())
+    codes = [graph_to_graph6(g) + "\n" for n in range(7) for g in graphs_by_n[n]]
+    pulled = [0]
+
+    def lines():
+        for line in codes:
+            pulled[0] += 1
+            yield line
+
+    bundles = []
+
+    def counted(g, _bundle=corpus.invariant_bundle):
+        # every line is a member, so every line pulled gets a bundle
+        assert pulled[0] - len(bundles) <= corpus._CHUNK_SIZE
+        bundles.append(g)
+        return _bundle(g)
+
+    monkeypatch.setattr(corpus, "invariant_bundle", counted)
+    report = rc.sweep_stream(everything, lines())
+    assert len(bundles) == report.members == len(codes) > 2 * corpus._CHUNK_SIZE
+
+
+def test_serial_sweeps_do_not_import_multiprocessing():
+    # a serial run, or a pooled one that fits in one chunk, starts no pool
+    # and does not pay for importing multiprocessing
+    code = """
+import sys
+import reedcheck as rc
+family = rc.FAMILIES["p5-flagc"]
+rc.sweep(family, 7, audit=True)
+lines = [rc.graph_to_graph6(g) + "\\n" for n in range(8) for g in rc.enumerate_graphs(n)]
+rc.sweep_stream(family, lines, audit=True)
+rc.sweep_stream(family, lines[:rc.corpus._CHUNK_SIZE], workers=2)
+print("multiprocessing" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=300).stdout
+    assert out == "False\n"
