@@ -14,8 +14,11 @@ Exit codes: 0 success / no violations, 1 violation certificates emitted,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import signal
 import sys
+from itertools import starmap
 
 from .audit import audit_graph
 from .corpus import MAX_ENUMERATION_N, Graph6Stream, sweep, sweep_stream
@@ -41,7 +44,7 @@ def _add_io_flags(p: argparse.ArgumentParser, with_graphs: bool = True) -> None:
     mode.add_argument("--strict", dest="strict", action="store_true", default=True,
                       help="abort on malformed input lines (default)")
     mode.add_argument("--lenient", dest="strict", action="store_false",
-                      help="skip malformed input lines and count them")
+                      help="skip malformed input lines instead of aborting")
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.add_argument("--pretty", action="store_true", help="human-readable output")
 
@@ -58,49 +61,53 @@ def _resolve_family(args) -> FamilySpec:
         raise UsageError("--family and --forbid are mutually exclusive")
     if args.forbid:
         try:
-            patterns = tuple(
-                (g6, graph_from_graph6(g6)) for g6 in args.forbid
-            )
+            patterns = tuple((g6, graph_from_graph6(g6)) for g6 in args.forbid)
         except Graph6Error as exc:
             raise UsageError(f"bad --forbid pattern: {exc}") from exc
         return FamilySpec("custom", patterns)
     return FAMILIES[args.family or "p5-flagc"]
 
 
-def _input_graphs(args) -> tuple[list[tuple[str, object]], int]:
-    """Labeled (graph6, Graph) inputs from args and/or --source, plus skip count."""
-    labeled = []
-    skipped = 0
+def _input_graphs(args):
+    """(graph6, Graph) per input graph: the arguments, then --source as it is read."""
+    graphs = []
     for text in args.graphs:
         try:
-            g = graph_from_graph6(text)
+            graphs.append(graph_from_graph6(text))
         except Graph6Error as exc:
             if args.strict:
                 raise UsageError(f"bad graph6 argument {text!r}: {exc}") from exc
-            skipped += 1
-            continue
-        labeled.append((graph_to_graph6(g), g))
+    # all arguments are decoded before the first is yielded, so a bad one
+    # stops a command before it writes anything
+    for g in graphs:
+        yield graph_to_graph6(g), g
+    given = bool(args.graphs)
     if args.source:
         try:
             with open(args.source, encoding=_SOURCE_ENCODING) as handle:
                 stream = Graph6Stream(handle, strict=args.strict)
                 for _, g in stream:
-                    labeled.append((graph_to_graph6(g), g))
-                skipped += len(stream.skipped)
+                    given = True
+                    yield graph_to_graph6(g), g
+                given = given or bool(stream.skipped)
         except OSError as exc:
             raise UsageError(f"cannot read {args.source}: {exc}") from exc
-    if not labeled and skipped == 0:
+    if not given:
         raise UsageError("no input graphs; pass graph6 strings or --source FILE")
-    return labeled, skipped
 
 
-def _emit(lines: list[str], out_path: str | None) -> None:
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _open_out(path: str | None):
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
+def _emit(lines, out) -> None:
+    for line in lines:
+        out.write(line + "\n")
 
 
 def _dumps(obj) -> str:
@@ -108,46 +115,40 @@ def _dumps(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each writes its lines to ``out`` and returns the exit code
 # ---------------------------------------------------------------------------
 
-def cmd_invariants(args) -> int:
-    labeled, _ = _input_graphs(args)
-    lines = []
-    for g6, g in labeled:
+def cmd_invariants(args, out) -> int:
+    def line(g6, g):
         bundle = invariant_bundle(g)
-        row = {"graph6": g6, **bundle.to_json()}
         if args.pretty:
-            lines.append(
-                f"{g6}  n={bundle.n} m={bundle.m} delta={bundle.delta} "
-                f"omega={bundle.omega} chi={bundle.chi} alpha={bundle.alpha} "
-                f"reed_bound={bundle.reed_bound} slack={bundle.slack}"
-            )
-        else:
-            lines.append(_dumps(row))
-    _emit(lines, args.out)
+            return (f"{g6}  n={bundle.n} m={bundle.m} delta={bundle.delta} "
+                    f"omega={bundle.omega} chi={bundle.chi} alpha={bundle.alpha} "
+                    f"reed_bound={bundle.reed_bound} slack={bundle.slack}")
+        return _dumps({"graph6": g6, **bundle.to_json()})
+
+    _emit(starmap(line, _input_graphs(args)), out)
     return 0
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args, out) -> int:
     family = _resolve_family(args)
-    labeled, _ = _input_graphs(args)
-    lines = []
-    for g6, g in labeled:
+
+    def line(g6, g):
         check = in_family(g, family)
+        if args.pretty:
+            verdict = "member" if check.member else f"not a member (induced {check.pattern} at {list(check.witness)})"
+            return f"{g6}  {family.name}: {verdict}"
         row = {"graph6": g6, "family": family.name, "member": check.member}
         if not check.member:
             row["witness"] = {"pattern": check.pattern, "vertices": list(check.witness)}
-        if args.pretty:
-            verdict = "member" if check.member else f"not a member (induced {check.pattern} at {list(check.witness)})"
-            lines.append(f"{g6}  {family.name}: {verdict}")
-        else:
-            lines.append(_dumps(row))
-    _emit(lines, args.out)
+        return _dumps(row)
+
+    _emit(starmap(line, _input_graphs(args)), out)
     return 0
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, out) -> int:
     family = _resolve_family(args)
     if args.source is not None and args.n_max is not None:
         raise UsageError("--n-max and --source are mutually exclusive")
@@ -156,10 +157,8 @@ def cmd_sweep(args) -> int:
     if args.source is None:
         n_max = args.n_max if args.n_max is not None else 7
         if not 0 <= n_max <= MAX_ENUMERATION_N:
-            raise UsageError(
-                f"--n-max must be within 0..{MAX_ENUMERATION_N} "
-                "(use --source for larger corpora)"
-            )
+            raise UsageError(f"--n-max must be within 0..{MAX_ENUMERATION_N} "
+                             "(use --source for larger corpora)")
         report = sweep(family, n_max, audit=args.audit, workers=args.workers)
     else:
         try:
@@ -168,7 +167,6 @@ def cmd_sweep(args) -> int:
                                       audit=args.audit, workers=args.workers)
         except OSError as exc:
             raise UsageError(f"cannot read {args.source}: {exc}") from exc
-    payload = report.to_json()
     if args.pretty:
         lines = [
             f"family {report.family}: examined {report.examined}, "
@@ -185,46 +183,42 @@ def cmd_sweep(args) -> int:
             lines.append("VIOLATIONS:")
             lines.extend(f"  {_dumps(v)}" for v in report.violations)
     else:
-        lines = [_dumps(payload)]
-    _emit(lines, args.out)
+        lines = [_dumps(report.to_json())]
+    _emit(lines, out)
     return 1 if report.violations else 0
 
 
-def cmd_audit(args) -> int:
+def cmd_audit(args, out) -> int:
     family = _resolve_family(args)
-    labeled, _ = _input_graphs(args)
-    lines = []
     member_violations = 0
-    for g6, g in labeled:
+
+    def line(g6, g):
+        nonlocal member_violations
         member = in_family(g, family).member
         report = audit_graph(g, invariant_bundle(g))
         if member:
             member_violations += len(report.violations)
-        row = {"member": member, "family": family.name, **report.to_json()}
         if args.pretty:
             summary = ", ".join(
                 f"{s}:{sum(report.counters[s].values())}" for s in report.counters
             )
-            lines.append(
-                f"{g6}  member={member} colorings={report.colorings_used} "
-                f"violated={len(report.violations)}  [{summary}]"
-            )
-        else:
-            lines.append(_dumps(row))
-    _emit(lines, args.out)
+            return (f"{g6}  member={member} colorings={report.colorings_used} "
+                    f"violated={len(report.violations)}  [{summary}]")
+        return _dumps({"member": member, "family": family.name, **report.to_json()})
+
+    _emit(starmap(line, _input_graphs(args)), out)
     return 1 if member_violations else 0
 
 
-def cmd_patterns(args) -> int:
-    lines = []
-    for name in catalog_names():
+def cmd_patterns(args, out) -> int:
+    def line(name):
         g = builtin_pattern(name)
-        row = {"name": name, "graph6": graph_to_graph6(g), "n": g.n, "m": g.m}
+        g6 = graph_to_graph6(g)
         if args.pretty:
-            lines.append(f"{name:8s} {row['graph6']:10s} n={g.n} m={g.m}")
-        else:
-            lines.append(_dumps(row))
-    _emit(lines, args.out)
+            return f"{name:8s} {g6:10s} n={g.n} m={g.m}"
+        return _dumps({"name": name, "graph6": g6, "n": g.n, "m": g.m})
+
+    _emit(map(line, catalog_names()), out)
     return 0
 
 
@@ -269,16 +263,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _open_out(args.out) as out:
+            return args.func(args, out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def entry() -> None:
+    # rows are written as they are computed: a reader that stops early (`| head`)
+    # ends the run by SIGPIPE, as it ends other filters, not by exit code 1
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

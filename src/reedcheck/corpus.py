@@ -49,7 +49,10 @@ MAX_ENUMERATION_N = 9
 
 _EXEMPLAR_CAP = 20
 _AUDIT_CERT_CAP = 100
-_CHUNK_SIZE = 32  # graphs per pool task: few, so that short sweeps keep a pool busy
+_CHUNK_SIZE = 32  # graphs per chunk: few, so that short sweeps keep a pool busy
+# chunks per pool task: each task costs the main process about 0.4 ms of CPU,
+# which a pooled sweep of cheap graphs took from its workers
+_CHUNKS_PER_TASK = 8
 
 
 @lru_cache(maxsize=None)
@@ -240,7 +243,8 @@ def _sweep_graphs(family: FamilySpec, graphs, audit: bool, workers: int,
 
     With ``workers > 1`` and more than one chunk, an order-keeping pool runs
     contiguous chunks of ``_CHUNK_SIZE`` graphs, cut off ``graphs`` as it
-    asks for them, and each part is folded as it arrives, in stream order.
+    asks for them and sent ``_CHUNKS_PER_TASK`` to a task, and each chunk's
+    part is folded as it arrives, in stream order.
     """
     graphs = iter(graphs)
     chunks = iter(lambda: list(islice(graphs, _CHUNK_SIZE)), [])
@@ -251,7 +255,8 @@ def _sweep_graphs(family: FamilySpec, graphs, audit: bool, workers: int,
     import multiprocessing  # only here: a serial run does not pay for the import
 
     with multiprocessing.Pool(processes) as pool:
-        parts = pool.imap(partial(_sweep_chunk, family, audit, members_only), chain(head, chunks))
+        parts = pool.imap(partial(_sweep_chunk, family, audit, members_only),
+                          chain(head, chunks), _CHUNKS_PER_TASK)
         total = next(parts)
         for part in parts:
             total.fold(part)

@@ -1,9 +1,13 @@
 import ast
 import hashlib
+import io
 import json
+import os
 import random
 import re
 import shlex
+import signal
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,6 +15,7 @@ import networkx as nx
 import pytest
 
 import reedcheck as rc
+from reedcheck import cli
 from reedcheck.cli import main
 
 C5_G6 = rc.graph_to_graph6(rc.Graph.cycle(5))
@@ -327,10 +332,95 @@ def test_pretty_output_is_pinned(capsys):
         assert re.sub(r"\(\d+\.\d\ds\)$", "(WALL)", out, flags=re.M).splitlines() == expected
 
 
-def test_no_input_is_usage_error(capsys):
-    code, _, err = run(capsys, "invariants")
+def test_no_input_is_usage_error(capsys, tmp_path):
+    empty, header = tmp_path / "empty.g6", tmp_path / "header.g6"
+    empty.write_text("")
+    header.write_text(">>graph6<<\n")
+    for argv in (["invariants"], ["invariants", "--source", str(empty)],
+                 ["classify", "--source", str(header)], ["audit", "--source", str(header)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "no input graphs" in err
+
+
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    missing = tmp_path / "missing" / "x"
+
+    def never(*args, **kwargs):
+        raise AssertionError("the output is opened before the sweep starts")
+
+    monkeypatch.setattr(cli, "sweep", never)
+    for argv in (["invariants", "Dhc"], ["sweep", "--n-max", "3"]):
+        code, out, err = run(capsys, *argv, "--out", str(missing))
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: cannot write {missing}: ")
+
+
+def test_source_commands_write_each_row_as_they_read(tmp_path, graphs_by_n, monkeypatch):
+    src = tmp_path / "graphs.g6"
+    src.write_text("".join(rc.graph_to_graph6(g) + "\n" for n in range(7) for g in graphs_by_n[n]))
+    pulled = [0]
+
+    def counted_lines(lines):
+        for line in lines:
+            pulled[0] += 1
+            yield line
+
+    monkeypatch.setattr(cli, "Graph6Stream",
+                        lambda lines, strict: rc.Graph6Stream(counted_lines(lines), strict=strict))
+    stdout = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    bundles = []
+
+    def counted(g, _bundle=cli.invariant_bundle):
+        # one line is read ahead of the bundle, and every earlier row is written
+        assert pulled[0] - len(bundles) <= 1
+        assert stdout.getvalue().count("\n") == len(bundles)
+        bundles.append(g)
+        return _bundle(g)
+
+    monkeypatch.setattr(cli, "invariant_bundle", counted)
+    assert main(["invariants", "--source", str(src)]) == 0
+    assert len(bundles) == pulled[0] == len(stdout.getvalue().splitlines()) == 209
+
+
+def test_strict_bad_line_keeps_the_rows_before_it(capsys, tmp_path, graphs_by_n):
+    lines = [rc.graph_to_graph6(g) + "\n" for n in range(7) for g in graphs_by_n[n]]
+    good, bad = tmp_path / "good.g6", tmp_path / "bad.g6"
+    good.write_text("".join(lines[:149]))
+    bad.write_text("".join(lines[:149] + ["!bad\n"] + lines[149:]))
+    code, before, _ = run(capsys, "classify", "--source", str(good))
+    assert code == 0
+    code, out, err = run(capsys, "classify", "--source", str(bad))
     assert code == 2
-    assert "no input graphs" in err
+    assert err.startswith("error: line 150: ")
+    assert len(out.splitlines()) == 149
+    assert out == before
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_a_reader_that_stops_early_ends_the_run_by_sigpipe(tmp_path, graphs_by_n):
+    src = tmp_path / "graphs.g6"
+    src.write_text("".join(rc.graph_to_graph6(g) + "\n" for n in range(9) for g in graphs_by_n[n]))
+    env = {**os.environ, "PYTHONPATH": str(Path(rc.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "reedcheck.cli", "classify", "--source", str(src)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert json.loads(proc.stdout.readline())["graph6"] == "?"
+    proc.stdout.close()
+    assert proc.wait(timeout=300) == -signal.SIGPIPE
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_lenient_output_equals_the_file_without_its_bad_lines(capsys, tmp_path):
+    good, bad = tmp_path / "good.g6", tmp_path / "bad.g6"
+    good.write_text(f"{C5_G6}\n{P4_G6}\n{K5_G6}\n", encoding="utf-8")
+    bad.write_text(f"!!bad\n{C5_G6}\né\n{P4_G6}\n\n{K5_G6}\nD~\n", encoding="utf-8")
+    for command in ("invariants", "classify", "audit"):
+        expected = run(capsys, command, "--source", str(good))
+        assert expected[1].count("\n") == 3
+        assert run(capsys, command, "--source", str(bad), "--lenient") == expected, command
+        assert run(capsys, command, "--source", str(bad))[0] == 2, command
 
 
 def test_bad_graph6_argument(capsys):

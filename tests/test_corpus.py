@@ -154,7 +154,7 @@ def fake_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, fn, chunks):
+        def imap(self, fn, chunks, chunksize=1):
             return map(fn, chunks)
 
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
