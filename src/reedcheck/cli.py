@@ -69,7 +69,12 @@ def _resolve_family(args) -> FamilySpec:
 
 
 def _input_graphs(args):
-    """(graph6, Graph) per input graph: the arguments, then --source as it is read."""
+    """(graph6, Graph) per input graph: the arguments, then --source as it is read.
+
+    An argument is encoded again, so a header or line ending given with it
+    does not reach the output; a --source line is passed on as the stream
+    yields it, which equals its encoding.
+    """
     graphs = []
     for text in args.graphs:
         try:
@@ -86,9 +91,9 @@ def _input_graphs(args):
         try:
             with open(args.source, encoding=_SOURCE_ENCODING) as handle:
                 stream = Graph6Stream(handle, strict=args.strict)
-                for _, g in stream:
+                for _, g6, g in stream:
                     given = True
-                    yield graph_to_graph6(g), g
+                    yield g6, g
                 given = given or bool(stream.skipped)
         except OSError as exc:
             raise UsageError(f"cannot read {args.source}: {exc}") from exc

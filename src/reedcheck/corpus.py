@@ -40,8 +40,8 @@ from functools import lru_cache, partial
 from itertools import chain, islice
 
 from .audit import STATEMENTS, STATUSES, AuditReport, audit_graph
-from .graphs import (Graph, Graph6Error, _column_bits, graph_from_graph6, graph_to_graph6,
-                     is_min_labeled)
+from .graphs import (_G6_HEADER, Graph, Graph6Error, _column_bits, graph_from_graph6,
+                     graph_to_graph6, is_min_labeled)
 from .invariants import InvariantBundle, invariant_bundle
 from .patterns import FamilySpec, in_family
 
@@ -71,7 +71,7 @@ def _canonical_level(n: int) -> tuple[Graph, ...]:
             rows = [adj[i] | (((mask >> i) & 1) << (n - 1)) for i in range(n - 1)]
             rows.append(mask)
             if is_min_labeled(rows, n):
-                out.append(Graph(n, rows))
+                out.append(Graph._of(n, rows))
     return tuple(out)
 
 
@@ -100,13 +100,15 @@ def enumerate_graphs(n: int):
 
 
 class Graph6Stream:
-    """Iterator of (line_number, Graph) over one-graph-per-line text.
+    """Iterator of (line_number, graph6, Graph) over one-graph-per-line text.
 
-    A line that is exactly the ``>>graph6<<`` header is skipped; a header
-    followed by a graph on the same line, as networkx writes it, is decoded
-    like any other line.  In strict mode a malformed line aborts with the
-    line number; in lenient mode it is skipped and recorded in
-    :attr:`skipped`.
+    ``graph6`` is the line without its line ending and without a leading
+    ``>>graph6<<`` header; since the decoder accepts no trailing bytes and
+    no nonzero padding, it equals the graph's own encoding.  A line that is
+    exactly the header is skipped; a header followed by a graph on the same
+    line, as networkx writes it, is decoded like any other line.  In strict
+    mode a malformed line aborts with the line number; in lenient mode it
+    is skipped and recorded in :attr:`skipped`.
     """
 
     def __init__(self, lines, strict: bool = True):
@@ -117,14 +119,16 @@ class Graph6Stream:
     def __iter__(self):
         for lineno, raw in enumerate(self._lines, start=1):
             line = raw.rstrip("\r\n")
-            if line == ">>graph6<<":
+            if line == _G6_HEADER:
                 continue
             try:
-                yield lineno, graph_from_graph6(line)
+                g = graph_from_graph6(line)
             except Graph6Error as exc:
                 if self.strict:
                     raise Graph6Error(f"line {lineno}: {exc}") from exc
                 self.skipped.append((lineno, str(exc)))
+                continue
+            yield lineno, line.removeprefix(_G6_HEADER), g
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +314,7 @@ def sweep_stream(family: FamilySpec, lines, *, strict: bool = True, audit: bool 
     """Same verification over an external graph6 stream (one graph per line)."""
     start = time.monotonic()
     stream = Graph6Stream(lines, strict=strict)
-    report = _sweep_graphs(family, (g for _, g in stream), audit, workers)
+    report = _sweep_graphs(family, (g for _, _, g in stream), audit, workers)
     report.skipped_lines = len(stream.skipped)
     report.wall_time_s = time.monotonic() - start
     return report

@@ -4,7 +4,17 @@ A :class:`Graph` stores one integer bitmask per vertex: bit ``w`` of row
 ``v`` is set iff ``vw`` is an edge.  Graphs are immutable values; every
 operation returns a fresh instance, so they are safe to share between
 worker processes.  Vertex counts are capped at 64 to keep each row in a
-single machine word.
+single machine word.  The public constructors check that the rows are
+in range, loop-free and symmetric.  ``Graph._of`` skips the checks and
+is used only where that holds by construction: the decoder, the
+complement, induced subgraphs, canonical forms and enumerated children.
+
+The graph6 decoder checks a line's length byte and size first, then its
+data bytes' range with one ``min``/``max`` test (scanning for the first
+bad byte only when that fails).  It reads the body as one integer, six
+bits per byte through a ``str.translate`` table, tests the padding with
+one mask and takes column j as a j-bit slice, setting two row bits per
+edge.
 
 Canonical labeling is an exhaustive minimum-bitstring search (no external
 labeler), exact for any size but intended for graphs of at most ~12
@@ -25,6 +35,8 @@ from collections.abc import Iterable, Sequence
 MAX_VERTICES = 64
 
 _G6_HEADER = ">>graph6<<"
+# graph6 data byte -> its six bits, most significant first
+_G6_BITS = str.maketrans({chr(63 + k): format(k, "06b") for k in range(64)})
 
 
 class Graph6Error(ValueError):
@@ -60,6 +72,15 @@ class Graph:
                     raise ValueError(f"asymmetric adjacency between {v} and {w}")
         self.n = n
         self.adj = adj
+
+    @classmethod
+    def _of(cls, n: int, rows: Sequence[int]) -> "Graph":
+        """Unchecked constructor, for rows that are symmetric, loop-free and
+        within ``0..n-1`` by construction (never for outside input)."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.adj = tuple(rows)
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -135,7 +156,7 @@ def iter_bits(mask: int) -> Iterable[int]:
 def complement(g: Graph) -> Graph:
     """Edge vw present iff v != w and vw absent in ``g``."""
     full = (1 << g.n) - 1
-    return Graph(g.n, [full ^ row ^ (1 << v) for v, row in enumerate(g.adj)])
+    return Graph._of(g.n, [full ^ row ^ (1 << v) for v, row in enumerate(g.adj)])
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -149,7 +170,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
         for w in iter_bits(g.adj[v]):
             if w in pos:
                 rows[pos[v]] |= 1 << pos[w]
-    return Graph(len(keep), rows)
+    return Graph._of(len(keep), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -202,27 +223,28 @@ def graph_from_graph6(text: str) -> Graph:
         )
     if len(body) > need:
         raise Graph6Error("trailing garbage after graph data", offset=base + 1 + need)
+    if not body:
+        return Graph._of(n, [0] * n)
+    if min(body) < "?" or max(body) > "~":
+        idx, ch = next((i, ch) for i, ch in enumerate(body) if not "?" <= ch <= "~")
+        raise Graph6Error(f"character {ch!r} out of graph6 range", offset=base + 1 + idx)
+    bits = int(body.translate(_G6_BITS), 2)
+    pad = 6 * need - npairs  # fewer than 6, so all in the last byte
+    if bits & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bits", offset=base + need)
+    bits >>= pad
     rows = [0] * n
-    pairs = ((i, j) for j in range(1, n) for i in range(j))
-    bitpos = 0
-    for idx, ch in enumerate(body):
-        c = ord(ch)
-        if not 63 <= c <= 126:
-            raise Graph6Error(f"character {ch!r} out of graph6 range", offset=base + 1 + idx)
-        group = c - 63
-        for shift in range(5, -1, -1):
-            bit = (group >> shift) & 1
-            if bitpos < npairs:
-                if bit:
-                    i, j = next(pairs)
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                else:
-                    next(pairs)
-            elif bit:
-                raise Graph6Error("nonzero padding bits", offset=base + 1 + idx)
-            bitpos += 1
-    return Graph(n, rows)
+    # the columns from the last: column j is the low j bits, vertex 0 highest
+    for j in range(n - 1, 0, -1):
+        col = bits & ((1 << j) - 1)
+        bits >>= j
+        while col:
+            low = col & -col
+            i = j - low.bit_length()
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+            col ^= low
+    return Graph._of(n, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +354,8 @@ def canonical_form(g: Graph) -> Graph:
     """
     adj = g.adj
     perm = _least_order(adj, g.n, stop=False)
-    return Graph(g.n, [sum(1 << j for j, w in enumerate(perm) if (adj[v] >> w) & 1) for v in perm])
+    return Graph._of(g.n, [sum(1 << j for j, w in enumerate(perm) if (adj[v] >> w) & 1)
+                           for v in perm])
 
 
 def canonical_code(g: Graph) -> str:

@@ -13,7 +13,7 @@ neighborhood mask per color class.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .graphs import Graph, complement
 
@@ -162,7 +162,8 @@ class InvariantBundle:
             raise ValueError(f"chi={self.chi} exceeds delta+1={self.delta + 1}")
 
     def to_json(self) -> dict:
-        return asdict(self)
+        # the fields are ints: a shallow copy, without asdict's deep copy of each
+        return dict(vars(self))
 
 
 def invariant_bundle(g: Graph) -> InvariantBundle:

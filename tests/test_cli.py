@@ -124,6 +124,20 @@ def test_source_reads_a_graph_that_shares_the_header_line(capsys, tmp_path):
     assert [row["graph6"] for row in ndjson(out)] == [C5_G6]
 
 
+def test_source_rows_carry_bare_codes(capsys, tmp_path):
+    # rows pass the --source text on without encoding it again: a networkx
+    # file with CRLF line endings must still give each graph's bare code
+    graphs = (nx.cycle_graph(5), nx.path_graph(4), nx.complete_graph(3), nx.empty_graph(1))
+    src = tmp_path / "crlf.g6"
+    src.write_bytes(b"".join(nx.to_graph6_bytes(g, header=i == 0).replace(b"\n", b"\r\n")
+                             for i, g in enumerate(graphs)))
+    assert src.read_bytes().startswith(b">>graph6<<Dhc\r\n")
+    code, out, _ = run(capsys, "invariants", "--source", str(src))
+    assert code == 0
+    assert [row["graph6"] for row in ndjson(out)] == [
+        rc.graph_to_graph6(rc.Graph.from_edges(g.number_of_nodes(), g.edges())) for g in graphs]
+
+
 def test_sweep_source_lenient_counts_skips(capsys, tmp_path):
     src = tmp_path / "graphs.g6"
     src.write_text(f"{C5_G6}\né\n!!bad\n{K5_G6}\n", encoding="utf-8")

@@ -53,10 +53,11 @@ def test_enumeration_rejects_large_n():
 
 
 def test_stream_reads_valid_lines():
-    lines = ["A_\n", "Bw\n", "DUW\n"]
+    lines = ["A_\n", ">>graph6<<Bw\r\n", "DUW"]
     got = list(Graph6Stream(lines))
-    assert [lineno for lineno, _ in got] == [1, 2, 3]
-    assert got[0][1] == rc.graph_from_graph6("A_")
+    assert [lineno for lineno, _, _ in got] == [1, 2, 3]
+    assert [g6 for _, g6, _ in got] == ["A_", "Bw", "DUW"]
+    assert got[0][2] == rc.graph_from_graph6("A_")
 
 
 def test_stream_skips_headers():

@@ -56,12 +56,21 @@ def test_encoding_rejects_oversized_graphs():
         ("A_?", 2),          # trailing garbage
         ("A" + chr(20), 1),  # out of range data character
         ("B" + chr(63 + 0b000100), 1),  # nonzero padding bit for n=3
+        # n = 20, 32 data bytes: a byte above '~' at offset 6, one below '?' at 16
+        ("S" + "?" * 5 + "\x7f" + "?" * 9 + chr(20) + "?" * 16, 6),
+        ("D?é", 2),          # non-ASCII latin-1 data character
     ],
 )
 def test_parse_errors_name_the_byte_offset(text, offset):
     with pytest.raises(Graph6Error) as err:
         rc.graph_from_graph6(text)
     assert err.value.offset == offset
+
+
+def test_enumerated_levels_pass_the_validating_constructor():
+    for n in range(8):
+        for g in rc.corpus._canonical_level(n):
+            assert Graph(g.n, g.adj) == g
 
 
 def test_roundtrip_all_graphs_up_to_6(graphs_by_n):
@@ -311,7 +320,9 @@ def _graph6_like_bytes(draw):
     data = bytearray(rc.graph_to_graph6(draw(_seeded_graphs(0, 62))).encode())
     edit = draw(st.sampled_from(["none", "overwrite", "cut", "extend"]))
     if edit == "overwrite":
-        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+        # any byte, or one in the graph6 range, which can set padding bits
+        data[draw(st.integers(0, len(data) - 1))] = draw(
+            st.one_of(st.integers(0, 255), st.integers(63, 126)))
     elif edit == "cut":
         del data[draw(st.integers(0, len(data) - 1)):]
     elif edit == "extend":
@@ -320,14 +331,69 @@ def _graph6_like_bytes(draw):
     return header + bytes(data) + draw(st.sampled_from([b"", b"\n", b"\r\n"]))
 
 
+def _bitwise_graph6_decode(text: str) -> Graph:
+    # the decoder one bit at a time, with the same checks in the same order:
+    # the reference for the word-parallel one's graphs, messages and offsets
+    s = text.rstrip("\r\n")
+    base = len(">>graph6<<") if s.startswith(">>graph6<<") else 0
+    s = s[base:]
+    if not s:
+        raise Graph6Error("missing length byte", offset=base)
+    if s[0] == "~":
+        raise Graph6Error("multi-byte vertex counts (n > 62) unsupported", offset=base)
+    if not "?" <= s[0] <= "}":
+        raise Graph6Error(f"bad length byte {s[0]!r}", offset=base)
+    n = ord(s[0]) - 63
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    need = (len(pairs) + 5) // 6
+    body = s[1:]
+    if len(body) < need:
+        raise Graph6Error(f"truncated: expected {need} data bytes, found {len(body)}",
+                          offset=base + 1 + len(body))
+    if len(body) > need:
+        raise Graph6Error("trailing garbage after graph data", offset=base + 1 + need)
+    edges = []
+    for idx, ch in enumerate(body):
+        if not "?" <= ch <= "~":
+            raise Graph6Error(f"character {ch!r} out of graph6 range", offset=base + 1 + idx)
+        for shift in range(5, -1, -1):
+            if (ord(ch) - 63) >> shift & 1:
+                if 6 * idx + 5 - shift >= len(pairs):
+                    raise Graph6Error("nonzero padding bits", offset=base + 1 + idx)
+                edges.append(pairs[6 * idx + 5 - shift])
+    return Graph.from_edges(n, edges)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_graph6_like_bytes())
 def test_graph6_decoder_accepts_only_what_networkx_decodes_alike(raw):
     # lines are read as latin-1, so every byte string reaches the decoder
+    text = raw.decode("latin-1")
     try:
-        g = rc.graph_from_graph6(raw.decode("latin-1"))
-    except Graph6Error:
+        expected = _bitwise_graph6_decode(text)
+    except Graph6Error as exc:
+        expected = exc
+    try:
+        g = rc.graph_from_graph6(text)
+    except Graph6Error as exc:
+        assert (str(exc), exc.offset) == (str(expected), expected.offset)
         return
+    assert g == expected
     h = nx.from_graph6_bytes(raw.rstrip(b"\r\n"))
     assert h.number_of_nodes() == g.n
     assert {tuple(sorted(e)) for e in h.edges()} == set(g.edges())
+    # an accepted line is its graph's own encoding, so the CLI need not encode it again
+    assert rc.graph_to_graph6(g) == text.rstrip("\r\n").removeprefix(">>graph6<<")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_seeded_graphs(0, 62), st.randoms(use_true_random=False))
+def test_unchecked_graphs_pass_the_validating_constructor(g, rnd):
+    # the decoder, complement, induced_subgraph and canonical_form skip the
+    # checks of Graph(): their rows must pass them unchanged
+    decoded = rc.graph_from_graph6(rc.graph_to_graph6(g))
+    assert decoded == g
+    # canonical_form on at most 10 vertices: it is slow on large symmetric graphs
+    sub = rc.induced_subgraph(decoded, rnd.sample(range(g.n), min(g.n, rnd.randint(0, 10))))
+    for h in (decoded, rc.complement(decoded), sub, rc.canonical_form(sub)):
+        assert Graph(h.n, h.adj) == h
