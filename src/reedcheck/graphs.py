@@ -25,7 +25,9 @@ branch-and-bound over vertex orders serves the canonicity test, the
 canonical form and the isomorphism test.  It works on bitsets: each node
 narrows its candidate mask to the vertices with the least next column in
 one mask operation per placed vertex, and a vertex is no candidate while
-a lower twin of it is unplaced.
+a lower twin of it is unplaced.  The canonicity test can also start below
+given prefixes with a given bound, which is how orderly generation
+finishes the children whose parent's walk left them undecided.
 """
 
 from __future__ import annotations
@@ -142,7 +144,8 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self.edges())})"
 
     def __reduce__(self):
-        return (Graph, (self.n, self.adj))
+        # an unpickled graph was built or decoded, so checked, before pickling
+        return (Graph._of, (self.n, self.adj))
 
 
 def iter_bits(mask: int) -> Iterable[int]:
@@ -262,41 +265,54 @@ def _column_bits(adj: Sequence[int], n: int) -> list[int]:
     return cols
 
 
-def _least_order(adj: Sequence[int], n: int, stop: bool) -> tuple[int, ...] | None:
+def _twins(adj: Sequence[int]) -> list[int]:
+    """The twins of each vertex v: the w != v with N(v) - w == N(w) - v."""
+    # false twins share N(v), true twins N[v]; the two keys never collide
+    group: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        bit = 1 << v
+        group[row] = group.get(row, 0) | bit
+        group[row | bit] = group.get(row | bit, 0) | bit
+    return [(group[row] | group[row | 1 << v]) ^ 1 << v for v, row in enumerate(adj)]
+
+
+def _least_order(adj: Sequence[int], n: int, stop: bool, bound: Sequence[int] | None = None,
+                 starts: Iterable[Sequence[int]] = ((),)) -> tuple[int, ...] | None:
     """Vertex order with the least column string, by depth-first branch-and-bound.
 
     ``bound`` holds the least columns found so far, starting from those of
-    the identity order.  At each node the candidates are narrowed, one
-    placed vertex at a time, to those with the least next column: the
-    non-neighbors of that vertex if any remain, else its neighbors.  That
-    column is compared with the bound once.  A larger one ends the node; a
-    smaller one either ends the search (``stop``: the identity order is not
-    least, so ``None`` is returned) or lowers the bound at that depth and
-    unsets the deeper entries.  The tied vertices are then placed in turn,
-    lowest first.
+    the identity order; a caller that has them passes them in.  At each
+    node the candidates are narrowed, one placed vertex at a time, to those
+    with the least next column: the non-neighbors of that vertex if any
+    remain, else its neighbors.  That column is compared with the bound
+    once.  A larger one ends the node; a smaller one either ends the search
+    (``stop``: the identity order is not least, so ``None`` is returned) or
+    lowers the bound at that depth and unsets the deeper entries.  The tied
+    vertices are then placed in turn, lowest first.
+
+    The search runs below each prefix of ``starts`` in turn; by default
+    that is the root alone.  With ``stop``, a caller that has already
+    decided every node outside the subtrees of its starts passes only those
+    starts, each of which must tie the bound at every depth it covers.
 
     Twin rule: v is a candidate only while no lower twin w (N(v) - w ==
     N(w) - v) is unplaced.  Swapping v and w is then an automorphism fixing
     the placed prefix, so w's subtree holds the same column strings as v's.
-    Twins form classes (a vertex cannot have both an adjacent and a
-    non-adjacent twin), so placing v frees just the next vertex of its class.
+    That holds at any node, whatever prefix led there.  Twins form classes
+    (a vertex cannot have both an adjacent and a non-adjacent twin), so
+    each class offers its least unplaced vertex, and placing it frees just
+    the next unplaced vertex of its class.
     """
-    # false twins share N(v), true twins N[v]; the two keys never collide
-    last: dict[int, int] = {}
-    nxt = [0] * n
-    avail = 0
-    for v in range(n):
-        for key in (adj[v], adj[v] | 1 << v):
-            if key in last:
-                nxt[last[key]] = 1 << v
-                break
-        else:
-            avail |= 1 << v
-        last[adj[v]] = last[adj[v] | 1 << v] = v
-    bound = _column_bits(adj, n)
+    bound = _column_bits(adj, n) if bound is None else list(bound)
     unset = 1 << n  # above every column
+    # above[v]: v's twins above v, for the vertices that have some
+    above = {}
+    for v, twins in enumerate(_twins(adj)):
+        if twins >> (v + 1):
+            above[v] = twins >> (v + 1) << (v + 1)
+    nxt = [0] * n
     order: list[int] = []
-    best: tuple[int, ...] = ()
+    best: tuple[int, ...] = tuple(range(n))
 
     def search(depth: int, avail: int) -> bool:
         nonlocal best
@@ -331,7 +347,21 @@ def _least_order(adj: Sequence[int], n: int, stop: bool) -> tuple[int, ...] | No
             tied ^= low
         return True
 
-    return best if search(0, avail) else None
+    for start in starts:
+        order[:] = start
+        free = (1 << n) - 1
+        for v in start:
+            free ^= 1 << v
+        # each twin class offers its least free vertex, which frees the next
+        avail = free
+        for v, up in above.items():
+            if (free >> v) & 1:
+                up &= free
+                nxt[v] = up & -up
+                avail &= ~up
+        if not search(len(order), avail):
+            return None
+    return best
 
 
 def is_min_labeled(adj: Sequence[int], n: int) -> bool:

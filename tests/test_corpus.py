@@ -1,10 +1,13 @@
 import hashlib
 import json
 import multiprocessing
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reedcheck as rc
 from reedcheck import corpus
@@ -45,6 +48,86 @@ def test_first_child_threshold_is_sound(graphs_by_n):
                 elif is_min_labeled(rows, n):
                     unthresholded.append(Graph(n, rows))
         assert corpus._canonical_level(n) == tuple(unthresholded)
+
+
+def _kept_by_filter(parent):
+    # the reference: the per-candidate canonicity test above the threshold
+    start = corpus._first_child(parent)
+    return [Graph(parent.n + 1, rows) for col, rows in _children(parent)
+            if col >= start and is_min_labeled(rows, parent.n + 1)]
+
+
+def _kept_by_walk(parent):
+    return list(corpus._children(parent, corpus._column_sets(parent.n)))
+
+
+def test_level_8_equals_the_per_candidate_filter(graphs_by_n):
+    assert corpus._canonical_level(8) == tuple(
+        child for parent in graphs_by_n[7] for child in _kept_by_filter(parent))
+
+
+def test_sampled_level_8_parents_keep_the_filtered_children(graphs_by_n):
+    for parent in random.Random(9).sample(graphs_by_n[8], 30):
+        assert _kept_by_walk(parent) == _kept_by_filter(parent), graph_to_graph6(parent)
+
+
+@st.composite
+def _canonical_parents(draw):
+    # random graphs, and families whose large twin classes and automorphism
+    # groups the walk must split by the new column
+    kind = draw(st.sampled_from(["random", "empty", "complete", "Kab", "cocktail", "cycle"]))
+    if kind == "random":
+        m = draw(st.integers(0, 8))
+        p = draw(st.floats(0, 1))
+        rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+        g = Graph.from_edges(m, [(v, w) for v in range(m) for w in range(v + 1, m)
+                                 if rnd.random() < p])
+    elif kind in ("empty", "complete"):
+        g = getattr(Graph, kind)(draw(st.integers(0, 8)))
+    elif kind == "Kab":
+        a = draw(st.integers(0, 8))
+        b = draw(st.integers(0, 8 - a))
+        g = Graph.from_edges(a + b, [(v, w) for v in range(a) for w in range(a, a + b)])
+    elif kind == "cocktail":
+        k = draw(st.integers(0, 4))
+        g = rc.complement(Graph.from_edges(2 * k, [(2 * i, 2 * i + 1) for i in range(k)]))
+    else:
+        g = Graph.cycle(draw(st.integers(3, 8)))
+    return rc.canonical_form(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_canonical_parents())
+# parents with a child that only orders starting with the new vertex show not
+# to be canonical: 3 of the 1,044 parents on 7 vertices, about 1 in 130 on 8
+@example(rc.graph_from_graph6("FB]lg"))
+@example(rc.graph_from_graph6("GB]d}w"))
+def test_walk_keeps_the_filtered_columns(parent):
+    assert _kept_by_walk(parent) == _kept_by_filter(parent)
+
+
+def _prefix_columns(rows, order):
+    # column j of a vertex order: order[j]'s adjacency to order[:j], order[0] highest
+    return [sum(((rows[v] >> w) & 1) << (j - 1 - i) for i, w in enumerate(order[:j]))
+            for j, v in enumerate(order)]
+
+
+def test_walk_starts_tie_the_child_and_place_the_new_vertex_last(graphs_by_n):
+    # a start is a node of the child's stop-mode tree that the walk did not
+    # search below: the new vertex comes last, after distinct parent vertices
+    starts = 0
+    for parent in graphs_by_n[6]:
+        m = parent.n
+        bound = _prefix_columns(parent.adj, range(m))
+        candidates = dict(_children(parent))
+        for col, col_starts in corpus._surviving_columns(parent, bound, corpus._column_sets(m)):
+            assert col_starts
+            own = _prefix_columns(candidates[col], range(m + 1))
+            for start in col_starts:
+                assert start[-1] == m and len(set(start)) == len(start)
+                assert _prefix_columns(candidates[col], start) == own[:len(start)]
+            starts += len(col_starts)
+    assert starts > 0
 
 
 def test_enumeration_rejects_large_n():

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import networkx as nx
@@ -19,6 +20,18 @@ def test_graph_validation_rejects_bad_rows():
         Graph(2, (0b100, 0b000))  # bit beyond n-1
     with pytest.raises(ValueError):
         Graph(1, (0, 0))  # row count mismatch
+
+
+def test_pickled_graphs_are_not_checked_again(monkeypatch):
+    # a pool sends every graph to a worker by pickle; it was checked when built
+    graphs = [Graph.empty(0), Graph.cycle(5), rc.graph_from_graph6("G~~~~{")]
+    data = pickle.dumps(graphs)
+
+    def checked(*args):
+        raise AssertionError("Graph.__init__ called")
+
+    monkeypatch.setattr(Graph, "__init__", checked)
+    assert pickle.loads(data) == graphs
 
 
 def test_degenerate_graphs_are_legal():
