@@ -1,22 +1,8 @@
 """Exhaustive small-graph corpora and family sweeps.
 
-Graphs are generated by orderly extension: every canonical (n-1)-vertex
-graph is extended by one vertex with each of the 2^(n-1) possible
-neighborhoods, and a candidate is kept iff its labeling already is the
-canonical one (minimum bitstring).  Because the bitstring uses graph6
-column order, the first n-1 vertices of a canonical labeling always form
-a canonical labeling themselves, so each isomorphism class is produced
-exactly once and the kept graphs double as their own canonical codes.
-Neighborhoods below a per-parent threshold are skipped at once: swapping
-an old vertex with the new one would give a smaller string.  The rest of
-a parent's candidates are decided together, in one walk of the parent's
-own tied tree with sets of new columns held as bit masks.  Most of a
-child's tree leaves the new vertex out and so is a node of the parent's
-tree; the walk compares the new vertex's column with the bound there for
-every candidate at once.  It rejects a candidate as soon as one node
-shows a smaller string, and at the leaves it keeps only the least column
-of each orbit under the parent's automorphisms.  A surviving child then
-searches only below the nodes where the walk placed the new vertex.
+Each level of the enumeration is built from the one below by orderly
+extension (see :mod:`reedcheck.graphs`), comes out in graph6 order and is
+cached for the life of the process.
 
 Sweeps filter a corpus through a hereditary family, compute one exact
 invariant bundle per member, flag any Reed-bound violation with a full
@@ -47,8 +33,8 @@ from functools import lru_cache, partial
 from itertools import chain, islice
 
 from .audit import STATEMENTS, STATUSES, AuditReport, audit_graph
-from .graphs import (_G6_HEADER, Graph, Graph6Error, _column_bits, _least_order, _twins,
-                     graph_from_graph6, graph_to_graph6, iter_bits)
+from .graphs import (_G6_HEADER, Graph, Graph6Error, _children, _column_sets, graph_from_graph6,
+                     graph_to_graph6)
 # not called here any more: the benchmark's tracer still counts calls under this name
 from .graphs import is_min_labeled  # noqa: F401
 from .invariants import InvariantBundle, invariant_bundle
@@ -72,135 +58,6 @@ def _canonical_level(n: int) -> tuple[Graph, ...]:
     # each parent's children come out in graph6 order, and the parents already are in it
     return tuple(child for parent in _canonical_level(n - 1)
                  for child in _children(parent, holds))
-
-
-def _column_sets(m: int) -> list[int]:
-    """``holds[v]`` for each v < m: the set of new columns whose neighborhood
-    holds v.
-
-    A new column ``col`` is an m-bit number, vertex 0 in its most
-    significant bit, as graph6 reads it; a set of columns is a 2^m-bit mask.
-    """
-    return [sum(1 << col for col in range(1 << m) if (col >> (m - 1 - v)) & 1)
-            for v in range(m)]
-
-
-def _children(parent: Graph, holds: list[int]):
-    """The canonical children of the canonical graph ``parent``, in the order
-    of their new column, which is graph6 order.
-
-    One walk of the parent's tied tree decides most columns at once
-    (:func:`_surviving_columns`).  Each column that survives it gets its own
-    stop-mode search, started only from the nodes the walk left to it.
-    """
-    m = parent.n
-    adj = parent.adj
-    bound = _column_bits(adj, m)
-    for col, starts in _surviving_columns(parent, bound, holds):
-        rows = [adj[i] | ((col >> (m - 1 - i)) & 1) << m for i in range(m)]
-        rows.append(int(f"{col:0{m}b}"[::-1], 2))  # vertex 0 in the low bit
-        if _least_order(rows, m + 1, True, bound + [col], starts) is not None:
-            yield Graph._of(m + 1, rows)
-
-
-def _surviving_columns(parent: Graph, bound: list[int], holds: list[int]):
-    """The new columns of ``parent`` that survive one walk of its tied tree,
-    ascending, each with the prefixes its child's search must still start from.
-
-    A child's vertex orders either leave the new vertex x out of their
-    prefix, or place it at some depth j after a prefix of parent vertices.
-    The nodes of the first kind tie the bound exactly where they are nodes
-    of the parent's own stop-mode tree (``bound`` is the parent's columns,
-    and no parent column beats them), so the walk visits each once for all
-    the columns.  At each node it compares x's column there, the bits of
-    col at the prefix's vertices, with the bound at depth j for every
-    column at once, in masks over the column space: the columns where it
-    is smaller are rejected, and those where it ties record the prefix
-    plus x as a start.  At a leaf x comes last; a column whose permuted
-    self is smaller than itself is rejected, which leaves one column of
-    each orbit under the parent's automorphisms.
-
-    ``rel`` holds the columns for which a subtree still matters.  Parent
-    twins v and w stay twins in the child unless the new column splits
-    them, so the walk descends into v while a lower twin w is unplaced only
-    for the columns that hold exactly one of v and w.
-    """
-    m = parent.n
-    adj = parent.adj
-    full = (1 << (1 << m)) - 1
-    lacks = [full ^ h for h in holds]
-    lower = [twins & ((1 << v) - 1) for v, twins in enumerate(_twins(adj))]
-    alive = full ^ ((1 << _first_child(parent)) - 1)
-    entries: list[tuple[tuple[int, ...], int]] = []
-
-    def walk(order: tuple[int, ...], placed: int, rel: int) -> None:
-        nonlocal alive
-        depth = len(order)
-        lt = 0
-        eq = rel
-        if depth == m:
-            for i, p in enumerate(order):
-                if p != i:
-                    lt |= eq & holds[i] & lacks[p]
-                    eq &= ~(holds[i] ^ holds[p])
-            alive &= ~lt
-            return
-        b = bound[depth]
-        bit = 1 << depth
-        for p in order:
-            bit >>= 1
-            if b & bit:
-                lt |= eq & lacks[p]
-                eq &= holds[p]
-            else:
-                eq &= lacks[p]
-        alive &= ~lt
-        if eq:
-            entries.append((order + (m,), eq))
-        tied = ((1 << m) - 1) ^ placed
-        c = 0
-        for p in order:
-            off = tied & ~adj[p]
-            if off:
-                tied = off
-                c <<= 1
-            else:
-                tied &= adj[p]
-                c = (c << 1) | 1
-        if c != b:
-            return
-        while tied:
-            low = tied & -tied
-            v = low.bit_length() - 1
-            r = rel & alive
-            twins = lower[v] & ~placed
-            while twins and r:
-                w = (twins & -twins).bit_length() - 1
-                r &= holds[v] ^ holds[w]
-                twins &= twins - 1
-            if r:
-                walk(order + (v,), placed | low, r)
-            tied ^= low
-
-    walk((), 0, alive)
-    starts: dict[int, list[tuple[int, ...]]] = {col: [] for col in iter_bits(alive)}
-    for prefix, eq in entries:
-        for col in iter_bits(eq & alive):
-            starts[col].append(prefix)
-    return starts.items()
-
-
-def _first_child(parent: Graph) -> int:
-    """The least new column, read as a number, that a child of ``parent`` can
-    have and still be canonical.
-
-    Swapping vertex v with the new vertex keeps columns 0..v-1, and column v
-    becomes the new column's top v bits.  So a new column ``col`` with
-    ``col >> (n-1-v) < cols[v]`` for some v (n the child's vertex count) gives a
-    smaller string, which happens exactly when ``col < cols[v] << (n-1-v)``.
-    """
-    cols = _column_bits(parent.adj, parent.n)
-    return max((cols[v] << (parent.n - v) for v in range(1, parent.n)), default=0)
 
 
 def enumerate_graphs(n: int):

@@ -18,16 +18,29 @@ edge.
 
 Canonical labeling is an exhaustive minimum-bitstring search (no external
 labeler), exact for any size but intended for graphs of at most ~12
-vertices.  The bitstring order matches graph6's column order, which is
-what makes orderly generation in :mod:`reedcheck.corpus` correct: the
-prefix of a minimal string is itself minimal.  One depth-first
-branch-and-bound over vertex orders serves the canonicity test, the
-canonical form and the isomorphism test.  It works on bitsets: each node
-narrows its candidate mask to the vertices with the least next column in
-one mask operation per placed vertex, and a vertex is no candidate while
-a lower twin of it is unplaced.  The canonicity test can also start below
-given prefixes with a given bound, which is how orderly generation
-finishes the children whose parent's walk left them undecided.
+vertices.  One depth-first branch-and-bound over vertex orders serves the
+canonicity test, the canonical form and the isomorphism test.  It works
+on bitsets: one narrowing step gives each node the vertices with the
+least next column, in one mask operation per placed vertex, and a vertex
+is skipped while a lower twin of it is unplaced.
+
+Orderly extension builds the graphs on n vertices from those on n-1:
+every canonical (n-1)-vertex graph is extended by one vertex with each of
+the 2^(n-1) possible neighborhoods, and a candidate is kept iff its
+labeling already is the canonical one.  Because the bitstring uses graph6
+column order, the first n-1 vertices of a canonical labeling always form
+a canonical labeling themselves, so each isomorphism class is produced
+exactly once and the kept graphs double as their own canonical codes.
+A parent's candidates are decided together, in one walk of the parent's
+own tied tree with sets of new columns held as bit masks; the walk takes
+the search's narrowing step, and its twin rule keeps twins apart only for
+the columns that split them.  Most of a child's tree leaves the new
+vertex out and so is a node of the parent's tree; the walk compares the
+new vertex's column with the bound there for every candidate at once.
+It rejects a candidate as soon as one node shows a smaller string, and
+at the leaves it keeps only the least column of each orbit under the
+parent's automorphisms.  A surviving child then runs the canonicity test
+only below the nodes where the walk placed the new vertex.
 """
 
 from __future__ import annotations
@@ -266,14 +279,32 @@ def _column_bits(adj: Sequence[int], n: int) -> list[int]:
 
 
 def _twins(adj: Sequence[int]) -> list[int]:
-    """The twins of each vertex v: the w != v with N(v) - w == N(w) - v."""
+    """The lower twins of each vertex v: the w < v with N(v) - w == N(w) - v."""
     # false twins share N(v), true twins N[v]; the two keys never collide
     group: dict[int, int] = {}
     for v, row in enumerate(adj):
         bit = 1 << v
         group[row] = group.get(row, 0) | bit
         group[row | bit] = group.get(row | bit, 0) | bit
-    return [(group[row] | group[row | 1 << v]) ^ 1 << v for v, row in enumerate(adj)]
+    return [(group[row] | group[row | 1 << v]) & ((1 << v) - 1) for v, row in enumerate(adj)]
+
+
+def _narrow(adj: Sequence[int], order: Iterable[int], tied: int) -> tuple[int, int]:
+    """The vertices of ``tied`` whose column after ``order`` is least, and that column.
+
+    One placed vertex at a time, the candidates narrow to its non-neighbors
+    if any remain, else to its neighbors, and the column gains a 0 or a 1.
+    """
+    column = 0
+    for p in order:
+        off = tied & ~adj[p]
+        if off:
+            tied = off
+            column <<= 1
+        else:
+            tied &= adj[p]
+            column = (column << 1) | 1
+    return tied, column
 
 
 def _least_order(adj: Sequence[int], n: int, stop: bool, bound: Sequence[int] | None = None,
@@ -282,10 +313,9 @@ def _least_order(adj: Sequence[int], n: int, stop: bool, bound: Sequence[int] | 
 
     ``bound`` holds the least columns found so far, starting from those of
     the identity order; a caller that has them passes them in.  At each
-    node the candidates are narrowed, one placed vertex at a time, to those
-    with the least next column: the non-neighbors of that vertex if any
-    remain, else its neighbors.  That column is compared with the bound
-    once.  A larger one ends the node; a smaller one either ends the search
+    node the unplaced vertices are narrowed to those with the least next
+    column (:func:`_narrow`).  That column is compared with the bound once.
+    A larger one ends the node; a smaller one either ends the search
     (``stop``: the identity order is not least, so ``None`` is returned) or
     lowers the bound at that depth and unsets the deeper entries.  The tied
     vertices are then placed in turn, lowest first.
@@ -295,40 +325,25 @@ def _least_order(adj: Sequence[int], n: int, stop: bool, bound: Sequence[int] | 
     decided every node outside the subtrees of its starts passes only those
     starts, each of which must tie the bound at every depth it covers.
 
-    Twin rule: v is a candidate only while no lower twin w (N(v) - w ==
+    Twin rule: a tied vertex v is skipped while a lower twin w (N(v) - w ==
     N(w) - v) is unplaced.  Swapping v and w is then an automorphism fixing
     the placed prefix, so w's subtree holds the same column strings as v's.
-    That holds at any node, whatever prefix led there.  Twins form classes
-    (a vertex cannot have both an adjacent and a non-adjacent twin), so
-    each class offers its least unplaced vertex, and placing it frees just
-    the next unplaced vertex of its class.
+    That holds at any node, whatever prefix led there, and unplaced twins
+    tie together, so w is searched at the same node.
     """
     bound = _column_bits(adj, n) if bound is None else list(bound)
     unset = 1 << n  # above every column
-    # above[v]: v's twins above v, for the vertices that have some
-    above = {}
-    for v, twins in enumerate(_twins(adj)):
-        if twins >> (v + 1):
-            above[v] = twins >> (v + 1) << (v + 1)
-    nxt = [0] * n
+    lower = _twins(adj)
     order: list[int] = []
     best: tuple[int, ...] = tuple(range(n))
 
-    def search(depth: int, avail: int) -> bool:
+    def search(placed: int) -> bool:
         nonlocal best
+        depth = len(order)
         if depth == n:
             best = tuple(order)
             return True
-        tied = avail
-        b = 0
-        for p in order:
-            off = tied & ~adj[p]
-            if off:
-                tied = off
-                b <<= 1
-            else:
-                tied &= adj[p]
-                b = (b << 1) | 1
+        tied, b = _narrow(adj, order, ((1 << n) - 1) ^ placed)
         if b > bound[depth]:
             return True
         if b < bound[depth]:
@@ -339,27 +354,18 @@ def _least_order(adj: Sequence[int], n: int, stop: bool, bound: Sequence[int] | 
         while tied:
             low = tied & -tied
             v = low.bit_length() - 1
-            order.append(v)
-            ok = search(depth + 1, avail ^ low | nxt[v])
-            order.pop()
-            if not ok:
-                return False
+            if not lower[v] & ~placed:
+                order.append(v)
+                ok = search(placed | low)
+                order.pop()
+                if not ok:
+                    return False
             tied ^= low
         return True
 
     for start in starts:
         order[:] = start
-        free = (1 << n) - 1
-        for v in start:
-            free ^= 1 << v
-        # each twin class offers its least free vertex, which frees the next
-        avail = free
-        for v, up in above.items():
-            if (free >> v) & 1:
-                up &= free
-                nxt[v] = up & -up
-                avail &= ~up
-        if not search(len(order), avail):
+        if not search(sum(1 << v for v in start)):
             return None
     return best
 
@@ -379,8 +385,8 @@ def canonical_form(g: Graph) -> Graph:
     Exact for every size.  The twin rule keeps graphs with large twin
     classes (empty, complete, cocktail-party) fast.  Other symmetric graphs
     cost a search over their tied orders: a few milliseconds in CPython up
-    to ~12 vertices, but about 0.6 s for C16 and 3 s for the 20-vertex
-    dodecahedron.
+    to ~12 vertices, but about 0.7 s for C16 and 4 s for the 20-vertex
+    dodecahedron (CPython 3.11, one core of a shared x86-64 machine).
     """
     adj = g.adj
     perm = _least_order(adj, g.n, stop=False)
@@ -400,3 +406,119 @@ def canonical_code(g: Graph) -> str:
 def is_isomorphic(a: Graph, b: Graph) -> bool:
     """Exact isomorphism test: equal canonical forms."""
     return a.n == b.n and a.m == b.m and canonical_form(a) == canonical_form(b)
+
+
+# ---------------------------------------------------------------------------
+# orderly extension (one walk of a parent's tied tree decides its children)
+# ---------------------------------------------------------------------------
+
+def _column_sets(m: int) -> list[int]:
+    """``holds[v]`` for each v < m: the set of new columns whose neighborhood
+    holds v.
+
+    A new column ``col`` is an m-bit number, vertex 0 in its most
+    significant bit, as graph6 reads it; a set of columns is a 2^m-bit mask.
+    """
+    return [sum(1 << col for col in range(1 << m) if (col >> (m - 1 - v)) & 1)
+            for v in range(m)]
+
+
+def _children(parent: Graph, holds: list[int]):
+    """The canonical children of the canonical graph ``parent``, in the order
+    of their new column, which is graph6 order.
+
+    One walk of the parent's tied tree decides most columns at once
+    (:func:`_surviving_columns`).  Each column that survives it gets its own
+    stop-mode search, started only from the nodes the walk left to it.
+    """
+    m = parent.n
+    adj = parent.adj
+    bound = _column_bits(adj, m)
+    for col, starts in _surviving_columns(parent, bound, holds):
+        rows = [adj[i] | ((col >> (m - 1 - i)) & 1) << m for i in range(m)]
+        rows.append(int(f"{col:0{m}b}"[::-1], 2))  # vertex 0 in the low bit
+        if _least_order(rows, m + 1, True, bound + [col], starts) is not None:
+            yield Graph._of(m + 1, rows)
+
+
+def _surviving_columns(parent: Graph, bound: list[int], holds: list[int]):
+    """The new columns of ``parent`` that survive one walk of its tied tree,
+    ascending, each with the prefixes its child's search must still start from.
+
+    A child's vertex orders either leave the new vertex x out of their
+    prefix, or place it at some depth j after a prefix of parent vertices.
+    The nodes of the first kind tie the bound exactly where they are nodes
+    of the parent's own stop-mode tree (``bound`` is the parent's columns,
+    and no parent column beats them), so the walk visits each once for all
+    the columns, narrowing as :func:`_least_order` does.  At each node it
+    compares x's column there, the bits of col at the prefix's vertices,
+    with the bound at depth j for every column at once, in masks over the
+    column space: the columns where it is smaller are rejected, and those
+    where it ties record the prefix plus x as a start.  At a leaf x comes
+    last; a column whose permuted self is smaller than itself is rejected,
+    which leaves one column of each orbit under the parent's automorphisms.
+
+    The walk goes down the identity order first.  At depth v there it
+    rejects every column whose top v bits fall below the parent's column v,
+    where swapping v with x would give a smaller string; so every column
+    starts alive.
+
+    ``rel`` holds the columns for which a subtree still matters.  Parent
+    twins v and w stay twins in the child unless the new column splits
+    them, so the walk descends into v while a lower twin w is unplaced only
+    for the columns that hold exactly one of v and w.
+    """
+    m = parent.n
+    adj = parent.adj
+    full = (1 << (1 << m)) - 1
+    lacks = [full ^ h for h in holds]
+    lower = _twins(adj)
+    alive = full
+    entries: list[tuple[tuple[int, ...], int]] = []
+
+    def walk(order: tuple[int, ...], placed: int, rel: int) -> None:
+        nonlocal alive
+        depth = len(order)
+        lt = 0
+        eq = rel
+        if depth == m:
+            for i, p in enumerate(order):
+                if p != i:
+                    lt |= eq & holds[i] & lacks[p]
+                    eq &= ~(holds[i] ^ holds[p])
+            alive &= ~lt
+            return
+        b = bound[depth]
+        bit = 1 << depth
+        for p in order:
+            bit >>= 1
+            if b & bit:
+                lt |= eq & lacks[p]
+                eq &= holds[p]
+            else:
+                eq &= lacks[p]
+        alive &= ~lt
+        if eq:
+            entries.append((order + (m,), eq))
+        tied, c = _narrow(adj, order, ((1 << m) - 1) ^ placed)
+        if c != b:
+            return
+        while tied:
+            low = tied & -tied
+            v = low.bit_length() - 1
+            r = rel & alive
+            twins = lower[v] & ~placed
+            while twins and r:
+                w = (twins & -twins).bit_length() - 1
+                r &= holds[v] ^ holds[w]
+                twins &= twins - 1
+            if r:
+                walk(order + (v,), placed | low, r)
+            tied ^= low
+
+    walk((), 0, alive)
+    starts: dict[int, list[tuple[int, ...]]] = {col: [] for col in iter_bits(alive)}
+    for prefix, eq in entries:
+        for col in iter_bits(eq & alive):
+            starts[col].append(prefix)
+    return starts.items()

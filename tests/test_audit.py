@@ -51,6 +51,18 @@ def test_gate_fails_on_k5():
         assert not finding.info["size_condition"]  # |R| = 4 < omega + 1 = 6
 
 
+def test_no_graph_with_n_le_8_can_pass_the_gate(graphs_by_n):
+    # gate I needs |R| >= omega + 1 neighbors of u, each alone in its color
+    # within N(u); with u's own color an optimal coloring then has chi >= omega + 2.
+    # No class with n <= 8 comes that far, so under any coloring policy the
+    # audits of such graphs decide only S2 and S3
+    gaps = Counter(rc.chromatic_number(g, omega=omega) - omega
+                   for n in range(9) for g in graphs_by_n[n]
+                   for omega in [rc.clique_number(g)])
+    assert sum(gaps.values()) == 13599
+    assert max(gaps) == 1
+
+
 def test_gate_rejects_non_optimal_coloring():
     with pytest.raises(ValueError):
         check("I", Graph.path(4), Coloring((0, 1, 2, 0), 3), 1)

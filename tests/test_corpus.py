@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reedcheck as rc
-from reedcheck import corpus
+from reedcheck import corpus, graphs
 from reedcheck.corpus import Graph6Stream
 from reedcheck.graphs import Graph, Graph6Error, graph_to_graph6, induced_subgraph, is_min_labeled
 
@@ -37,28 +37,20 @@ def _children(parent):
         yield col, rows
 
 
-def test_first_child_threshold_is_sound(graphs_by_n):
-    for n in range(1, 8):
-        unthresholded = []
-        for parent in graphs_by_n[n - 1]:
-            start = corpus._first_child(parent)
-            for col, rows in _children(parent):
-                if col < start:
-                    assert not is_min_labeled(rows, n), (graph_to_graph6(parent), col)
-                elif is_min_labeled(rows, n):
-                    unthresholded.append(Graph(n, rows))
-        assert corpus._canonical_level(n) == tuple(unthresholded)
-
-
 def _kept_by_filter(parent):
-    # the reference: the per-candidate canonicity test above the threshold
-    start = corpus._first_child(parent)
+    # the reference: the per-candidate canonicity test on every new column
     return [Graph(parent.n + 1, rows) for col, rows in _children(parent)
-            if col >= start and is_min_labeled(rows, parent.n + 1)]
+            if is_min_labeled(rows, parent.n + 1)]
 
 
 def _kept_by_walk(parent):
-    return list(corpus._children(parent, corpus._column_sets(parent.n)))
+    return list(graphs._children(parent, graphs._column_sets(parent.n)))
+
+
+def test_levels_up_to_7_equal_the_per_candidate_filter(graphs_by_n):
+    for n in range(1, 8):
+        assert corpus._canonical_level(n) == tuple(
+            child for parent in graphs_by_n[n - 1] for child in _kept_by_filter(parent))
 
 
 def test_level_8_equals_the_per_candidate_filter(graphs_by_n):
@@ -69,6 +61,26 @@ def test_level_8_equals_the_per_candidate_filter(graphs_by_n):
 def test_sampled_level_8_parents_keep_the_filtered_children(graphs_by_n):
     for parent in random.Random(9).sample(graphs_by_n[8], 30):
         assert _kept_by_walk(parent) == _kept_by_filter(parent), graph_to_graph6(parent)
+
+
+# sha256 of each level's graph6 lines, one code and a newline per class
+_LEVEL_DIGESTS = (
+    "ce773b87709a04bbcb0ead74fea94b1f20fa4a4d185fc06a24a9bc703dd99613",
+    "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+    "b7cd2a004ade86133158ffa94292f1d79a1fa154874706bf33b9e841cd3fa4cb",
+    "1d237c0da1c599bbd8f4cffdf1fd13171099276e9ca335a1e0c819e4be9b2bea",
+    "4779a12d9a07b2a2e13924257ea8b573ba0bd3af65d263532115d2ee564e7762",
+    "20785da1cf32ff06b5c7830950a3525a00c0ffc56e24213a2047c413effdf161",
+    "6ba261a8381f12c8b4b59ae2c7715cee98a31b3f4c6b5a6bea5ef4eba006a0fc",
+    "e3eee2a6b5beecaa47bee1b0d67a6a982c0e5e2c0067993d735036d3c9d6512f",
+    "e1aed63b07ff72557885ee1244044d6ad30ba1b182f74cc7bcb7a02da8d34867",
+)
+
+
+def test_enumeration_is_pinned_by_digest(graphs_by_n):
+    for n, digest in enumerate(_LEVEL_DIGESTS):
+        lines = "".join(graph_to_graph6(g) + "\n" for g in graphs_by_n[n])
+        assert hashlib.sha256(lines.encode()).hexdigest() == digest, n
 
 
 @st.composite
@@ -120,7 +132,7 @@ def test_walk_starts_tie_the_child_and_place_the_new_vertex_last(graphs_by_n):
         m = parent.n
         bound = _prefix_columns(parent.adj, range(m))
         candidates = dict(_children(parent))
-        for col, col_starts in corpus._surviving_columns(parent, bound, corpus._column_sets(m)):
+        for col, col_starts in graphs._surviving_columns(parent, bound, graphs._column_sets(m)):
             assert col_starts
             own = _prefix_columns(candidates[col], range(m + 1))
             for start in col_starts:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reedcheck as rc
-from reedcheck.graphs import Graph, Graph6Error
+from reedcheck.graphs import Graph, Graph6Error, is_min_labeled
 
 
 def test_graph_validation_rejects_bad_rows():
@@ -222,6 +222,39 @@ def test_canonical_form_matches_brute_force(graphs_by_n):
         rng.shuffle(perm)
         h = _permuted(g, perm)
         assert rc.canonical_form(h) == _brute_force_canonical_form(h), rc.graph_to_graph6(g)
+
+
+def _relabelings(g: Graph):
+    # every distinct labeled graph isomorphic to g
+    return {_permuted(g, perm) for perm in itertools.permutations(range(g.n))}
+
+
+def _twin_rich_graphs(n_max):
+    # graphs whose large twin classes the search's twin rule has to split
+    for n in range(n_max + 1):
+        yield Graph.empty(n)
+        yield Graph.complete(n)
+        for a in range(1, n // 2 + 1):
+            yield Graph.from_edges(n, [(v, w) for v in range(a) for w in range(a, n)])
+        if n % 2 == 0:
+            yield rc.complement(Graph.from_edges(n, [(2 * i, 2 * i + 1) for i in range(n // 2)]))
+
+
+def test_is_min_labeled_matches_brute_force():
+    # the stop-mode search accepts exactly the labelings whose identity
+    # order already gives the least column string
+    labeled = []
+    for n in range(6):
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        labeled += [Graph.from_edges(n, [pair for b, pair in enumerate(pairs) if (mask >> b) & 1])
+                    for mask in range(1 << len(pairs))]
+    assert len(labeled) == 1 + 1 + 2 + 8 + 64 + 1024
+    for g in labeled:
+        assert is_min_labeled(g.adj, g.n) == (g == _brute_force_canonical_form(g)), g
+    for g in _twin_rich_graphs(7):
+        least = _brute_force_canonical_form(g)
+        for h in _relabelings(g):
+            assert is_min_labeled(h.adj, h.n) == (h == least), h
 
 
 @st.composite
