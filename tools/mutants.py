@@ -11,8 +11,7 @@ that moves the code must update the entry.
 
 Usage, from the repository root (standard library and pytest only):
 
-    python3 tools/mutants.py            # every mutant
-    python3 tools/mutants.py NAME ...   # only the named mutants
+    python3 tools/mutants.py
 
 The exit code is 0 when every mutant is killed, 1 otherwise.
 """
@@ -69,6 +68,10 @@ MUTANTS = (
            "            if not lower[v] & ~placed:\n",
            "            if lower[v] & ~placed:\n",
            (_MIN_LABELED, _FORM, _LEVELS, _DIGESTS)),
+    Mutant("child-narrows-without-lower-tied", _GRAPHS,
+           "ok = search(placed | low, cell ^ low, b)",
+           "ok = search(placed | low, tied ^ low, b)",
+           (_MIN_LABELED, _FORM, _LEVELS)),
     Mutant("narrow-neighbors-first", _GRAPHS,
            "        off = tied & ~adj[p]\n"
            "        if off:\n"
@@ -101,13 +104,8 @@ def _pytest(copy: Path, tests) -> int | None:
         return None
 
 
-def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 1
-    for m in chosen:
+def main() -> int:
+    for m in MUTANTS:
         found = (ROOT / m.path).read_text().count(m.fragment)
         if found != 1:
             print(f"{m.name}: fragment found {found} times in {m.path}, not once",
@@ -117,12 +115,12 @@ def main(argv: list[str]) -> int:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".work"))
-        tests = sorted({t for m in chosen for t in m.tests})
+        tests = sorted({t for m in MUTANTS for t in m.tests})
         if _pytest(copy, tests) != 0:
             print("the named tests do not all pass on the unpatched copy", file=sys.stderr)
             return 1
         survivors = 0
-        for m in chosen:
+        for m in MUTANTS:
             target = copy / m.path
             source = target.read_text()
             target.write_text(source.replace(m.fragment, m.replacement))
@@ -136,4 +134,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
