@@ -2,13 +2,15 @@
 independence number, and the Reed bound ceil((delta + omega + 1) / 2).
 
 Everything here is exact and deterministic.  The clique solver is a
-bitset branch-and-bound with greedy-coloring upper bounds.  The chromatic
+bitset branch-and-bound (Tomita & Seki 2003) whose upper bound greedily
+colors the candidates in index order, lowest bit first.  The chromatic
 solver tries k upward from the clique number and decides k-colorability
 by an exact DSATUR search (Brelaz 1979; San Segundo 2012): it branches on
 the uncolored vertex that sees the most distinct colors, ties broken by
 degree into the uncolored set, and tries the colors its neighbors lack
-plus at most one new color.  Saturation is counted bit-parallel from one
-neighborhood mask per color class.
+plus at most one new color.  The saturation levels are bit masks carried
+down the search: coloring v with c raises only v's uncolored neighbors
+that see c for the first time.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ def clique_number(g: Graph) -> int:
     if n == 0:
         return 0
     adj = g.adj
-    # static descending-degree order improves the greedy coloring bound
-    by_degree = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)
     best = 1
 
     def expand(size: int, cand: int) -> None:
@@ -45,13 +45,13 @@ def clique_number(g: Graph) -> int:
         while uncolored:
             k += 1
             cls = uncolored
-            for v in by_degree:
-                if not (cls >> v) & 1:
-                    continue
+            while cls:
+                low = cls & -cls
+                v = low.bit_length() - 1
                 order.append(v)
                 bound.append(k)
-                uncolored &= ~(1 << v)
-                cls &= ~(adj[v] | (1 << v))
+                uncolored ^= low
+                cls = (cls ^ low) & ~adj[v]
         for i in range(len(order) - 1, -1, -1):
             if size + bound[i] <= best:
                 return
@@ -65,23 +65,13 @@ def clique_number(g: Graph) -> int:
 
 
 def _k_colorable(adj: tuple[int, ...], n: int, k: int) -> bool:
-    # near[c]: the vertices adjacent to some vertex of color c
+    # near[c]: the vertices adjacent to some vertex of color c; 0 for unused c
     near = [0] * k
 
-    def extend(uncolored: int, used: int) -> bool:
+    def extend(uncolored: int, used: int, sat: list[int]) -> bool:
+        # sat[j]: the uncolored vertices adjacent to more than j colors
         if not uncolored:
             return True
-        # sat[j]: the uncolored vertices adjacent to more than j colors
-        sat: list[int] = []
-        for c in range(used):
-            hit = near[c] & uncolored
-            carry = hit
-            for j in range(len(sat)):
-                below = sat[j]
-                sat[j] = below | carry
-                carry = below & hit
-            if carry:
-                sat.append(carry)
         if len(sat) == k:
             return False  # some vertex sees all k colors
         top = sat[-1] if sat else uncolored
@@ -95,19 +85,28 @@ def _k_colorable(adj: tuple[int, ...], n: int, k: int) -> bool:
             top ^= low
         rest = uncolored & ~(1 << v)
         row = adj[v]
-        for c in range(used):
+        for c in range(min(used + 1, k)):
             mask = near[c]
-            if not (mask >> v) & 1:
-                near[c] = mask | row
-                if extend(rest, used):
-                    return True
-                near[c] = mask
-        if used < k:
-            near[used] = row
-            return extend(rest, used + 1)
+            if (mask >> v) & 1:
+                continue
+            near[c] = mask | row
+            # the neighbors that see color c for the first time rise one level
+            up = row & rest & ~mask
+            below = rest
+            levels = []
+            for level in sat:
+                levels.append((level | up & below) & rest)
+                below = level
+            if up & below:
+                levels.append(up & below)
+            while levels and not levels[-1]:
+                levels.pop()
+            if extend(rest, used + (c == used), levels):
+                return True
+            near[c] = mask
         return False
 
-    colorable = extend((1 << n) - 1, 0)
+    colorable = extend((1 << n) - 1, 0, [])
     del extend  # the closure refers to itself; dropping the name breaks the cycle
     return colorable
 

@@ -293,6 +293,27 @@ def test_audit_source_output_is_pinned_on_random_graphs(capsys, tmp_path):
         "d495965092510cb12268e623fb212fb606f775700812f9b9f7d83a6695774de8")
 
 
+def test_invariants_source_output_is_pinned_on_random_graphs(capsys, tmp_path):
+    # every byte of 300 seeded G(n, p) bundles with n = 12..20, the sizes the
+    # invariants benchmark runs, against the clique and DSATUR solvers
+    rnd = random.Random(2027)
+    lines = []
+    for i in range(300):
+        n = 12 + i % 9
+        p = rnd.uniform(0.2, 0.9)
+        lines.append(rc.graph_to_graph6(rc.Graph.from_edges(
+            n, [(v, w) for v in range(n) for w in range(v + 1, n) if rnd.random() < p])))
+    src = tmp_path / "graphs.g6"
+    src.write_text("".join(line + "\n" for line in lines))
+    code, out, _ = run(capsys, "invariants", "--source", str(src))
+    assert code == 0
+    rows = ndjson(out)
+    assert [row["graph6"] for row in rows] == lines
+    assert sum(row["chi"] > row["omega"] for row in rows) == 48
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7cd73e3436c0a6b80117dff28800fe69fb0b5ab1078203c9a74baed0d553bb14")
+
+
 def test_patterns_command(capsys):
     code, out, _ = run(capsys, "patterns")
     assert code == 0

@@ -154,6 +154,25 @@ def test_omega_at_most_chi_up_to_7(graphs_by_n):
             assert rc.clique_number(g) <= rc.chromatic_number(g)
 
 
+# graphs with chi > omega, where DSATUR must prove that no coloring exists
+_KNOWN = {
+    "petersen": (nx.petersen_graph(), (2, 3, 4)),
+    "grotzsch": (nx.mycielski_graph(4), (2, 4, 5)),
+    "chvatal": (nx.chvatal_graph(), (2, 4, 4)),
+    "mycielski-m5": (nx.mycielski_graph(5), (2, 5, 11)),
+    "c5[k3]": (nx.lexicographic_product(nx.cycle_graph(5), nx.complete_graph(3)), (6, 8, 2)),
+    "c7[k3]": (nx.lexicographic_product(nx.cycle_graph(7), nx.complete_graph(3)), (6, 7, 3)),
+}
+
+
+@pytest.mark.parametrize("name", list(_KNOWN))
+def test_known_answers_with_chi_above_omega(name):
+    h, expected = _KNOWN[name]
+    h = nx.convert_node_labels_to_integers(h)
+    g = Graph.from_edges(h.number_of_nodes(), list(h.edges()))
+    assert (rc.clique_number(g), rc.chromatic_number(g), rc.independence_number(g)) == expected
+
+
 def test_bundle_sanity_guard():
     with pytest.raises(ValueError):
         rc.InvariantBundle(n=3, m=0, delta=0, omega=2, chi=1, alpha=3, reed_bound=2, slack=1)

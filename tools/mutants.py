@@ -49,6 +49,15 @@ _FORM = "tests/test_graphs.py::test_canonical_form_matches_brute_force"
 # these two need no enumerated level, which a broken narrowing step cannot build in time
 _CODES_N4 = "tests/test_graphs.py::test_labeled_graphs_n4_give_11_codes"
 _RELABELED_C5 = "tests/test_graphs.py::test_canonical_code_on_relabelings"
+_INVARIANTS = "src/reedcheck/invariants.py"
+_OMEGA_EXAMPLES = "tests/test_invariants.py::test_clique_number_examples"
+_CHI_EXAMPLES = "tests/test_invariants.py::test_chromatic_number_examples"
+# has chi > omega everywhere, so it cannot see a search started at omega + 1;
+# a saturation counted too high makes some of its graphs take minutes
+_KNOWN = "tests/test_invariants.py::test_known_answers_with_chi_above_omega"
+_CLIQUES = "tests/test_invariants.py::test_omega_and_alpha_match_networkx_cliques"
+_CHI_ORACLE = "tests/test_invariants.py::test_chi_matches_backtracking_oracle"
+_BUNDLES = "tests/test_cli.py::test_invariants_source_output_is_pinned_on_random_graphs"
 
 MUTANTS = (
     # the canonical search and the walk of a parent's tied tree
@@ -88,6 +97,27 @@ MUTANTS = (
            "            tied &= ~adj[p]\n"
            "            column <<= 1\n",
            (_MIN_LABELED, _CODES_N4, _RELABELED_C5)),
+    # the clique bound and the DSATUR search
+    Mutant("clique-class-keeps-neighbors", _INVARIANTS,
+           "cls = (cls ^ low) & ~adj[v]",
+           "cls ^= low",
+           (_OMEGA_EXAMPLES, _KNOWN, _CLIQUES, _BUNDLES)),
+    Mutant("chi-search-from-omega-plus-1", _INVARIANTS,
+           "k = clique_number(g) if omega is None else omega",
+           "k = (clique_number(g) if omega is None else omega) + 1",
+           (_CHI_EXAMPLES, _CHI_ORACLE, _BUNDLES)),
+    Mutant("dsatur-never-tries-last-color", _INVARIANTS,
+           "for c in range(min(used + 1, k)):",
+           "for c in range(min(used + 1, k - 1)):",
+           (_CHI_EXAMPLES, _KNOWN, _CHI_ORACLE, _BUNDLES)),
+    Mutant("dsatur-fails-at-k-minus-1-colors", _INVARIANTS,
+           "if len(sat) == k:",
+           "if len(sat) >= k - 1:",
+           (_CHI_EXAMPLES, _KNOWN, _CHI_ORACLE, _BUNDLES)),
+    Mutant("saturation-rises-on-seen-colors", _INVARIANTS,
+           "up = row & rest & ~mask",
+           "up = row & rest",
+           (_CHI_ORACLE, _BUNDLES)),
 )
 
 
