@@ -8,7 +8,7 @@ are byte-identical for identical inputs regardless of worker count;
 ``--pretty`` switches to a human-readable rendering.
 
 Exit codes: 0 success / no violations, 1 violation certificates emitted,
-2 usage or input error.
+2 usage, input or OS error (such as a pool that cannot start).
 """
 
 from __future__ import annotations
@@ -31,9 +31,18 @@ class UsageError(ValueError):
     """A bad option or input; ``main`` reports it like any other ValueError."""
 
 
-# latin-1 decodes every byte, so a non-ASCII line reaches the graph6
-# decoder and is rejected (or skipped under --lenient) as a malformed line
-_SOURCE_ENCODING = "latin-1"
+def _source_lines(path: str):
+    """The lines of the --source file ``path``, read as they are asked for.
+
+    Only an error while opening or reading the file is reported as unreadable
+    input; latin-1 decodes every byte, so a non-ASCII line reaches the graph6
+    decoder and is rejected (or skipped under --lenient) as a malformed line.
+    """
+    try:
+        with open(path, encoding="latin-1") as handle:
+            yield from handle
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
 def _add_io_flags(p: argparse.ArgumentParser, with_graphs: bool = True) -> None:
@@ -88,15 +97,11 @@ def _input_graphs(args):
         yield graph_to_graph6(g), g
     given = bool(args.graphs)
     if args.source:
-        try:
-            with open(args.source, encoding=_SOURCE_ENCODING) as handle:
-                stream = Graph6Stream(handle, strict=args.strict)
-                for _, g6, g in stream:
-                    given = True
-                    yield g6, g
-                given = given or bool(stream.skipped)
-        except OSError as exc:
-            raise UsageError(f"cannot read {args.source}: {exc}") from exc
+        stream = Graph6Stream(_source_lines(args.source), strict=args.strict)
+        for _, g6, g in stream:
+            given = True
+            yield g6, g
+        given = given or bool(stream.skipped)
     if not given:
         raise UsageError("no input graphs; pass graph6 strings or --source FILE")
 
@@ -166,12 +171,8 @@ def cmd_sweep(args, out) -> int:
                              "(use --source for larger corpora)")
         report = sweep(family, n_max, audit=args.audit, workers=args.workers)
     else:
-        try:
-            with open(args.source, encoding=_SOURCE_ENCODING) as handle:
-                report = sweep_stream(family, handle, strict=args.strict,
-                                      audit=args.audit, workers=args.workers)
-        except OSError as exc:
-            raise UsageError(f"cannot read {args.source}: {exc}") from exc
+        report = sweep_stream(family, _source_lines(args.source), strict=args.strict,
+                              audit=args.audit, workers=args.workers)
     if args.pretty:
         lines = [
             f"family {report.family}: examined {report.examined}, "
@@ -272,7 +273,7 @@ def main(argv=None) -> int:
     try:
         with _open_out(args.out) as out:
             return args.func(args, out)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,14 +14,14 @@ graph only when its parent (the graph on its first n-1 vertices, which it
 was extended from) is a member; the rest are counted as examined without
 a search.  A graph6 stream need not contain the parents of its graphs,
 so a stream sweep tests every line.  Both sweeps hand one loop an
-iterator of graphs, which a pool takes in fixed-size contiguous chunks
-cut off it as they are needed, so no corpus is held in memory.  Totals
-have one shape, :class:`SweepReport`, whether they cover one member, one
-chunk or the whole sweep, and one fold adds them up: each member's into
-its chunk's, and the chunks' into the sweep's in chunk order.  The
-capped lists (20 tight exemplars, 100 audit certificates) therefore keep
-the first entries of the stream, and reports are byte-identical for any
-worker count.
+iterator of graphs, which a pool takes in contiguous tasks of a fixed
+size cut off it as they are needed, so no corpus is held in memory.
+Totals have one shape, :class:`SweepReport`, whether they cover one
+member, one task or the whole sweep, and one fold adds them up: each
+member's into its task's, and the tasks' into the sweep's in task order.
+The capped lists (20 tight exemplars, 100 audit certificates) therefore
+keep the first entries of the stream, and reports are byte-identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ MAX_ENUMERATION_N = 9
 
 _EXEMPLAR_CAP = 20
 _AUDIT_CERT_CAP = 100
-_CHUNK_SIZE = 32  # graphs per chunk: few, so that short sweeps keep a pool busy
-# chunks per pool task: each task costs the main process about 0.4 ms of CPU,
-# which a pooled sweep of cheap graphs took from its workers
-_CHUNKS_PER_TASK = 8
+# graphs per pool task: each task costs the main process about 0.4 ms of CPU,
+# which a pooled sweep of cheap graphs would take from its workers; an input
+# of one task or less is swept without a pool
+_TASK_SIZE = 256
 
 
 @lru_cache(maxsize=None)
@@ -109,7 +109,7 @@ class Graph6Stream:
 
 @dataclass
 class SweepReport:
-    """Totals of a family sweep, or of one part of it (one member, one chunk
+    """Totals of a family sweep, or of one part of it (one member, one task
     of the stream); violation lists carry full certificates.
 
     Each total equals the sum of its ``per_n`` rows: only :meth:`count`
@@ -195,7 +195,7 @@ def _member_part(family: str, g: Graph, bundle: InvariantBundle,
     return part
 
 
-def _sweep_chunk(family: FamilySpec, audit: bool, members_only: bool, graphs) -> SweepReport:
+def _sweep_task(family: FamilySpec, audit: bool, members_only: bool, graphs) -> SweepReport:
     part = SweepReport(family.name, audit={
         "instances": {s: dict.fromkeys(STATUSES, 0) for s in STATEMENTS},
         "violated_certificates": [],
@@ -217,22 +217,21 @@ def _sweep_graphs(family: FamilySpec, graphs, audit: bool, workers: int,
     """Sweep totals over the iterable ``graphs``; with ``members_only`` every
     graph is already known to be a member and is not tested again.
 
-    With ``workers > 1`` and more than one chunk, an order-keeping pool runs
-    contiguous chunks of ``_CHUNK_SIZE`` graphs, cut off ``graphs`` as it
-    asks for them and sent ``_CHUNKS_PER_TASK`` to a task, and each chunk's
-    part is folded as it arrives, in stream order.
+    With ``workers > 1`` and more than one task's graphs, an order-keeping
+    pool runs contiguous tasks of ``_TASK_SIZE`` graphs, cut off ``graphs``
+    as it asks for them, and each task's part is folded as it arrives, in
+    stream order.
     """
     graphs = iter(graphs)
-    chunks = iter(lambda: list(islice(graphs, _CHUNK_SIZE)), [])
+    tasks = iter(lambda: list(islice(graphs, _TASK_SIZE)), [])
     processes = min(workers, os.cpu_count() or 1)
-    head = list(islice(chunks, 2)) if processes > 1 else []
+    head = list(islice(tasks, 2)) if processes > 1 else []
     if len(head) < 2:
-        return _sweep_chunk(family, audit, members_only, chain(*head, graphs))
+        return _sweep_task(family, audit, members_only, chain(*head, graphs))
     import multiprocessing  # only here: a serial run does not pay for the import
 
     with multiprocessing.Pool(processes) as pool:
-        parts = pool.imap(partial(_sweep_chunk, family, audit, members_only),
-                          chain(head, chunks), _CHUNKS_PER_TASK)
+        parts = pool.imap(partial(_sweep_task, family, audit, members_only), chain(head, tasks))
         total = next(parts)
         for part in parts:
             total.fold(part)
@@ -246,38 +245,36 @@ def sweep(family: FamilySpec, n_max: int, *, audit: bool = False,
     if not 0 <= n_max <= MAX_ENUMERATION_N:
         raise ValueError(f"n_max must be within 0..{MAX_ENUMERATION_N}")
     start = time.monotonic()
-    untested = SweepReport(family.name)
-    members = _hereditary_members(family, n_max, untested)
-    report = _sweep_graphs(family, members, audit, workers, members_only=True)
-    report.fold(untested)
+    report = _sweep_graphs(family, _hereditary_members(family, n_max), audit, workers,
+                           members_only=True)
+    # the graphs of a level that were not yielded were examined without a search
+    for n in range(n_max + 1):
+        members = report.per_n.get(n, {}).get("members", 0)
+        report.count(n, examined=len(_canonical_level(n)) - members)
     report.n_max = n_max
     report.wall_time_s = time.monotonic() - start
     return report
 
 
-def _hereditary_members(family: FamilySpec, n_max: int, untested: SweepReport):
+def _hereditary_members(family: FamilySpec, n_max: int):
     """The members with at most ``n_max`` vertices, in enumeration order.
 
     Membership is decided level by level.  A graph's parent is the graph on
     its first n-1 vertices, which orderly extension built it from; since the
     family is hereditary, a child of a non-member is no member and is not
-    tested.  Every graph not yielded is counted into ``untested`` as
-    examined; a pool runs this generator on its task-feeder thread, so read
-    ``untested`` only once the generator is exhausted.
+    tested.
     """
     # adjacency rows of the previous level's members; the empty graph's
     # parent rows are () too, so level 0 is always tested
     parents = {()}
     for n in range(n_max + 1):
         low = (1 << max(n - 1, 0)) - 1
-        graphs = _canonical_level(n)
         level = set()
-        for g in graphs:
+        for g in _canonical_level(n):
             if (tuple(row & low for row in g.adj[:n - 1]) in parents
                     and in_family(g, family).member):
                 level.add(g.adj)
                 yield g
-        untested.count(n, examined=len(graphs) - len(level))
         parents = level
 
 

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import random
 import re
@@ -149,7 +150,8 @@ def test_sweep_source_lenient_counts_skips(capsys, tmp_path):
     assert "line 2" in err
 
 
-def test_sweep_workers_byte_identical(capsys):
+def test_sweep_workers_byte_identical(capsys, monkeypatch):
+    monkeypatch.setattr(rc.corpus, "_TASK_SIZE", 32)  # more than one task: a real pool
     outputs = []
     for workers in ("1", "2", "8"):
         code, out, _ = run(capsys, "sweep", "--n-max", "5", "--workers", workers)
@@ -160,9 +162,11 @@ def test_sweep_workers_byte_identical(capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_bad_lines_under_a_real_pool(capsys, tmp_path, graphs_by_n):
+def test_bad_lines_under_a_real_pool(capsys, tmp_path, graphs_by_n, monkeypatch):
     # a pool reads the stream on its task-feeder thread, and re-raises a
-    # decoding error from there in a worker: the error must still name the line
+    # decoding error from there in a worker: the error must still name the
+    # line; the first two tasks, 64 lines, are read before the pool starts
+    monkeypatch.setattr(rc.corpus, "_TASK_SIZE", 32)
     lines = [rc.graph_to_graph6(g) + "\n" for n in range(7) for g in graphs_by_n[n]]
     lines[149:149] = ["!bad\n"]
     family = rc.FAMILIES["p5-flagc"]
@@ -183,6 +187,31 @@ def test_bad_lines_under_a_real_pool(capsys, tmp_path, graphs_by_n):
     assert pooled.skipped_lines == serial.skipped_lines == 1
     pooled.wall_time_s = serial.wall_time_s
     assert pooled == serial
+
+
+@pytest.mark.parametrize("argv", [("--n-max", "7"), ("--source", "graphs.g6")])
+def test_a_pool_that_cannot_start_is_an_error_not_a_violation(capsys, tmp_path, graphs_by_n,
+                                                              monkeypatch, argv):
+    # exit code 1 means violation certificates; an OS error is exit 2, and
+    # not an unreadable --source
+    def no_pool(processes):
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(rc.corpus.os, "cpu_count", lambda: 2)
+    monkeypatch.chdir(tmp_path)
+    Path("graphs.g6").write_text("".join(
+        rc.graph_to_graph6(g) + "\n" for n in range(8) for g in graphs_by_n[n]))
+    code, out, err = run(capsys, "sweep", *argv, "--workers", "2")
+    assert (code, out, err) == (2, "", "error: [Errno 11] Resource temporarily unavailable\n")
+
+
+@pytest.mark.parametrize("argv", [("sweep",), ("sweep", "--workers", "2"), ("invariants",)])
+def test_a_missing_source_cannot_be_read(capsys, tmp_path, argv):
+    missing = tmp_path / "missing.g6"
+    code, out, err = run(capsys, *argv, "--source", str(missing))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {missing}: ")
 
 
 def test_bad_workers_is_a_usage_error(capsys):

@@ -198,7 +198,8 @@ def test_sweep_rejects_big_n(flagc_family):
         rc.sweep(flagc_family, 10)
 
 
-def test_parallel_sweep_equals_serial(flagc_family):
+def test_parallel_sweep_equals_serial(flagc_family, monkeypatch):
+    monkeypatch.setattr(corpus, "_TASK_SIZE", 32)  # more than one task: a real pool
     serial = rc.sweep(flagc_family, 6, workers=1).to_json()
     parallel = rc.sweep(flagc_family, 6, workers=3).to_json()
     serial.pop("wall_time_s")
@@ -237,7 +238,8 @@ def test_audited_sweep_output_is_pinned(audited_theorem_sweep):
 
 @pytest.fixture
 def fake_pool(monkeypatch):
-    """Run pool chunks in this process; returns the pool sizes requested."""
+    """Run pool tasks in this process, 32 graphs to a task, so that short
+    sweeps reach the pool; returns the pool sizes requested."""
     sizes = []
 
     class FakePool:
@@ -250,10 +252,11 @@ def fake_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, fn, chunks, chunksize=1):
-            return map(fn, chunks)
+        def imap(self, fn, tasks):
+            return map(fn, tasks)
 
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(corpus, "_TASK_SIZE", 32)
     monkeypatch.setattr(corpus.os, "cpu_count", lambda: 3)
     return sizes
 
@@ -310,7 +313,7 @@ def test_hereditary_sweep_equals_filter_after_enumerate(family, graphs_by_n, fak
         assert report.per_n[n]["examined"] == len(graphs_by_n[n])
         assert report.per_n[n]["members"] == sum(
             rc.in_family(g, family).member for g in graphs_by_n[n])
-    # the same totals as testing every enumerated graph inside the chunks
+    # the same totals as testing every enumerated graph inside the tasks
     filtered = corpus._sweep_graphs(family, graphs, False, 1)
     assert (report.examined, report.members, report.per_n, report.violations,
             report.tight_count, report.tight_exemplars) == (
@@ -388,28 +391,34 @@ def test_stream_sweep_reads_lines_as_it_goes(graphs_by_n, monkeypatch):
 
     def counted(g, _bundle=corpus.invariant_bundle):
         # every line is a member, so every line pulled gets a bundle
-        assert pulled[0] - len(bundles) <= corpus._CHUNK_SIZE
+        assert pulled[0] - len(bundles) <= corpus._TASK_SIZE
         bundles.append(g)
         return _bundle(g)
 
     monkeypatch.setattr(corpus, "invariant_bundle", counted)
+    monkeypatch.setattr(corpus, "_TASK_SIZE", 32)
     report = rc.sweep_stream(everything, lines())
-    assert len(bundles) == report.members == len(codes) > 2 * corpus._CHUNK_SIZE
+    assert len(bundles) == report.members == len(codes) > 2 * corpus._TASK_SIZE
 
 
 def test_serial_sweeps_do_not_import_multiprocessing():
-    # a serial run, or a pooled one that fits in one chunk, starts no pool
-    # and does not pay for importing multiprocessing
+    # a serial run, or a pooled one that fits in one task, starts no pool
+    # and does not pay for importing multiprocessing; two CPUs, so that a
+    # one-CPU runner would start the pool if the input called for one
     code = """
+import os
 import sys
 import reedcheck as rc
+os.cpu_count = lambda: 2
 family = rc.FAMILIES["p5-flagc"]
 rc.sweep(family, 7, audit=True)
 lines = [rc.graph_to_graph6(g) + "\\n" for n in range(8) for g in rc.enumerate_graphs(n)]
 rc.sweep_stream(family, lines, audit=True)
-rc.sweep_stream(family, lines[:rc.corpus._CHUNK_SIZE], workers=2)
-print("multiprocessing" in sys.modules)
+rc.sweep_stream(family, lines[:rc.corpus._TASK_SIZE], workers=2)
+serial, pooled = (rc.sweep_stream(family, lines[:100], audit=True, workers=w) for w in (1, 2))
+pooled.wall_time_s = serial.wall_time_s
+print(pooled == serial, "multiprocessing" in sys.modules)
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=300).stdout
-    assert out == "False\n"
+    assert out == "True False\n"

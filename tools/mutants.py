@@ -9,6 +9,20 @@ each of its tests in a pytest process of its own; each must fail.  A
 fragment found zero times or more than once is an error, so a refactor
 that moves the code must update the entry.
 
+Three mutants are equivalent: they change no output, so they have no entry.
+
+* S1 requiring |T| >= 3 instead of 2: past the gate |T| >= 3 always holds
+  (the argument is in ``audit._statement_1``), so S1 is never ``violated``.
+* The walk of ``graphs._surviving_columns`` recording starts without the
+  new vertex: a child's search then also runs below prefixes of parent
+  vertices alone, a superset of the nodes it must search, so every level
+  is the same and only built more slowly.
+  ``test_walk_starts_tie_the_child_and_place_the_new_vertex_last`` checks
+  the starts themselves, not the levels.
+* A node of ``graphs._least_order`` always narrowing from the root
+  instead of from its parent's tied vertices: both give the same tied
+  vertices and column (see its docstring), so the search tree is the same.
+
 Usage, from the repository root (standard library and pytest only):
 
     python3 tools/mutants.py
@@ -58,6 +72,20 @@ _KNOWN = "tests/test_invariants.py::test_known_answers_with_chi_above_omega"
 _CLIQUES = "tests/test_invariants.py::test_omega_and_alpha_match_networkx_cliques"
 _CHI_ORACLE = "tests/test_invariants.py::test_chi_matches_backtracking_oracle"
 _BUNDLES = "tests/test_cli.py::test_invariants_source_output_is_pinned_on_random_graphs"
+_CORPUS = "src/reedcheck/corpus.py"
+_NO_IMPORT = "tests/test_corpus.py::test_serial_sweeps_do_not_import_multiprocessing"
+_HEREDITARY = "tests/test_corpus.py::test_hereditary_sweep_equals_filter_after_enumerate"
+_CHILDREN_OF_MEMBERS = ("tests/test_corpus.py::"
+                        "test_sweep_tests_membership_only_on_children_of_members")
+_STREAM = "tests/test_corpus.py::test_stream_reads_valid_lines"
+_OFFSETS = "tests/test_graphs.py::test_parse_errors_name_the_byte_offset"
+_DECODER = "tests/test_graphs.py::test_graph6_decoder_accepts_only_what_networkx_decodes_alike"
+_AUDIT = "src/reedcheck/audit.py"
+_ORACLE = "tests/test_audit.py::test_audit_equals_the_oracle_on_random_graphs"
+_ORACLE_PAST_GATE = "tests/test_audit.py::test_audit_equals_the_oracle_past_the_gate"
+_PAST_GATE = "tests/test_audit.py::test_statements_past_the_gate"
+_PINNED_FINDINGS = "tests/test_audit.py::test_check_findings_are_pinned"
+_S_NONEMPTY = "tests/test_audit.py::test_statements_past_the_gate_with_S_nonempty"
 
 MUTANTS = (
     # the canonical search and the walk of a parent's tied tree
@@ -118,6 +146,42 @@ MUTANTS = (
            "up = row & rest & ~mask",
            "up = row & rest",
            (_CHI_ORACLE, _BUNDLES)),
+    # sweep plumbing: the pool and the untested tally
+    Mutant("module-level-multiprocessing-import", _CORPUS,
+           "import os\nimport time\n",
+           "import multiprocessing\nimport os\nimport time\n",
+           (_NO_IMPORT,)),
+    Mutant("pool-for-a-single-task", _CORPUS,
+           "if len(head) < 2:",
+           "if len(head) < 1:",
+           (_NO_IMPORT,)),
+    Mutant("tally-one-level-short", _CORPUS,
+           "    for n in range(n_max + 1):\n        members = report",
+           "    for n in range(n_max):\n        members = report",
+           (_HEREDITARY, _CHILDREN_OF_MEMBERS)),
+    # the graph6 stream and codec; a --source file is read with universal
+    # newlines, so only a stream of lines given as they are sees a '\r'
+    Mutant("stream-strips-only-newline", _CORPUS,
+           'line = raw.rstrip("\\r\\n")',
+           'line = raw.rstrip("\\n")',
+           (_STREAM,)),
+    Mutant("padding-offset-plus-one", _GRAPHS,
+           '"nonzero padding bits", offset=base + need)',
+           '"nonzero padding bits", offset=base + need + 1)',
+           (_OFFSETS, _DECODER)),
+    # the audit
+    Mutant("bulk-counts-T-of-two", _AUDIT,
+           "if not d.T_mask & (d.T_mask - 1):",
+           "if d.T_mask.bit_count() <= 2:",
+           (_ORACLE, _ORACLE_PAST_GATE)),
+    Mutant("is-clique-always-true", _AUDIT,
+           "def _is_clique(adj: tuple[int, ...], mask: int) -> bool:\n",
+           "def _is_clique(adj: tuple[int, ...], mask: int) -> bool:\n    return True\n",
+           (_PAST_GATE, _PINNED_FINDINGS)),
+    Mutant("s4-target-without-s1-prime", _AUDIT,
+           "target = t_prime | s1_prime",
+           "target = t_prime",
+           (_S_NONEMPTY,)),
 )
 
 
